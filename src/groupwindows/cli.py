@@ -2,7 +2,8 @@
 
 Exit codes: 0 the property holds or every requested check passed, 1 a
 property failed (a witness is in the output), 2 undetermined at this window,
-3 malformed input or shape mismatch.  Outputs are canonical JSON, so
+3 malformed input or shape mismatch, 4 scale limit (an exact scan would list
+more elements than it allows).  Outputs are canonical JSON, so
 identical inputs and flags produce byte-identical files.
 """
 
@@ -29,6 +30,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_UNDETERMINED = 2
 EXIT_INPUT_ERROR = 3
+EXIT_SCALE_LIMIT = 4
 
 _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNDETERMINED: EXIT_UNDETERMINED}
 
@@ -262,12 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         if window:
             p.add_argument("--window", type=int, default=None, help="window length N")
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="parallelism hint; execution is sequential and schedule-independent",
-        )
 
     p_check = sub.add_parser("check", help="certify a property and emit a certificate")
     common(p_check)
@@ -317,8 +313,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except WindowScaleError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        print(f"scale limit: {exc}", file=sys.stderr)
+        return EXIT_SCALE_LIMIT
     except UndeterminedAtWindowError as exc:
         print(f"undetermined at window: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED

@@ -25,10 +25,10 @@ from .window import (
     Element,
     WindowSubgroup,
     combine,
+    membership_coefficients,
     project,
     section,
 )
-from .intlinalg import IntMatrix, solve_mixed_modulus
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -90,15 +90,17 @@ class _Scans:
     def proj_elements(self, n: int):
         """Elements of the projection of G onto [1, n], with flats and orders."""
         if n not in self._proj_elems:
-            sub = project(self.g, (1, n))
-            self._proj_elems[n] = tuple((e.flat, e.order(), e) for e in sub.elements())
+            self._proj_elems[n] = tuple(
+                (e.flat, e.order(), e) for e in self.proj_g(n).elements()
+            )
         return self._proj_elems[n]
 
     def sect_elements(self, n: int):
         """Members of G supported in [1, n], projected there, with flats/orders."""
         if n not in self._sect_elems:
-            sub = project(self.sect(n), (1, n))
-            self._sect_elems[n] = tuple((e.flat, e.order(), e) for e in sub.elements())
+            self._sect_elems[n] = tuple(
+                (e.flat, e.order(), e) for e in self.proj_sect(n, n).elements()
+            )
         return self._sect_elems[n]
 
 
@@ -172,13 +174,7 @@ def _order_failures(scans: _Scans, i: int, n: int):
 
 def _lift_prefix(g: WindowSubgroup, prefix_elem: Element, n: int) -> Element:
     """A canonical member of G whose [1, n]-projection equals the given element."""
-    gens = g.canonical_generators
-    sub = g.window.subwindow((1, n))
-    if not gens:
-        return g.window.zero()
-    s, e = g.window.flat_slice((1, n))
-    A = IntMatrix.from_rows([[gen.flat[f] for gen in gens] for f in range(s, e)])
-    coeffs = solve_mixed_modulus(A, list(prefix_elem.flat), list(sub.flat_orders))
+    coeffs = membership_coefficients(prefix_elem, g, interval=(1, n))
     if coeffs is None:
         raise InputError("prefix is not a projection of the subgroup")
     return combine(g, coeffs)

@@ -22,7 +22,6 @@ spanning checks decide exactly whether it is an isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from math import prod
 from typing import Mapping, Optional
 
@@ -35,9 +34,11 @@ from .control import (
 )
 from .errors import InputError, UndeterminedAtWindowError
 from .torsion import (
+    FpEchelon,
     PrimaryDecomposition,
     height,
     is_p_group,
+    p_valuation,
     primary_decompose,
     socle_dimension,
     socle_subgroup,
@@ -52,8 +53,6 @@ from .window import (
     solve_in_subgroup,
     span,
 )
-
-KERNEL_SCAN_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -98,37 +97,6 @@ class GeneratingSet:
             if counts[k - 1] < j <= counts[k]:
                 return k
         raise InputError(f"generator index {j} outside the blocks")
-
-
-class _FpEchelon:
-    """Incremental independence test over the p-element field."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec) -> list[int]:
-        v = [x % self.p for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % self.p for a, b in zip(v, row)]
-        return v
-
-    def is_independent(self, vec) -> bool:
-        return any(self.reduce(vec))
-
-    def add(self, vec):
-        v = self.reduce(vec)
-        for piv, c in enumerate(v):
-            if c:
-                inv = pow(c, -1, self.p)
-                v = [(a * inv) % self.p for a in v]
-                self.rows.append(v)
-                self.pivots.append(piv)
-                return
-        raise InputError("attempted to add a dependent vector")
 
 
 def _prefix_socle_vector(x: Element, d: int, p: int):
@@ -200,15 +168,9 @@ def synthesize_p(
         )
 
     def projected_dim(d: int) -> int:
-        sub = project(soc, (1, d))
-        n = sub.order()
-        dim = 0
-        while n > 1:
-            n //= p
-            dim += 1
-        return dim
+        return p_valuation(project(soc, (1, d)).order(), p)
 
-    echelon = _FpEchelon(p)
+    echelon = FpEchelon(p)
     xs: list[Element] = []
     ys: list[Element] = []
     heights: list[int] = []
@@ -236,7 +198,7 @@ def synthesize_p(
         while len(xs) < target:
             candidates = [
                 z for z in pool
-                if echelon.is_independent(_prefix_socle_vector(z, d_k, p))
+                if any(echelon.reduce(_prefix_socle_vector(z, d_k, p)))
             ]
             if not candidates:
                 determined = False
@@ -305,14 +267,8 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         n_dk = gs.n_sequence.get(d_k, n_window)
 
         # (a) block projections independent on (d_{k-1}, d_k]
-        ech = _FpEchelon(p)
-        ok_a = True
-        for x in bk:
-            v = socle_vector(x.restrict((d_prev + 1, d_k)), p)
-            if not ech.is_independent(v):
-                ok_a = False
-                break
-            ech.add(v)
+        ech = FpEchelon(p)
+        ok_a = all(ech.add(socle_vector(x.restrict((d_prev + 1, d_k)), p)) for x in bk)
         put("a", ok_a, f"block {k}: projections on ({d_prev}, {d_k}] dependent" if not ok_a else "")
 
         # (b) blocks so far generate the projected socle on (d_{k-1}, d_k]
@@ -325,24 +281,16 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         pref = [x.restrict((1, d_k)) for x in gs.socle_elements[: hi]]
         subw = g.window.subwindow((1, d_k))
         spans = span(subw, pref) == project(soc, (1, d_k))
-        ech2 = _FpEchelon(p)
-        indep = True
-        for x in pref:
-            v = socle_vector(x, p)
-            if not ech2.is_independent(v):
-                indep = False
-                break
-            ech2.add(v)
+        ech = FpEchelon(p)
+        indep = all(ech.add(socle_vector(x, p)) for x in pref)
         put("c", spans and indep, f"block {k}: prefix projections not a basis" if not (spans and indep) else "")
         put("eq1", spans, f"block {k}: projected socle differs from projected span" if not spans else "")
 
         # (d) membership, maximal height, nonincreasing heights
         arena = socle_subgroup(section(g, (d_prev + 1, n_dk)), p)
-        ech3 = _FpEchelon(p)
+        ech = FpEchelon(p)
         for x in gs.socle_elements[:lo]:
-            v = socle_vector(x.restrict((1, d_k)), p)
-            if ech3.is_independent(v):
-                ech3.add(v)
+            ech.add(socle_vector(x.restrict((1, d_k)), p))
         prev_h = None
         for j in range(lo, hi):
             x = gs.socle_elements[j]
@@ -352,15 +300,13 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
             candidates = [
                 z for z in arena.elements()
                 if not z.is_zero()
-                and ech3.is_independent(socle_vector(z.restrict((1, d_k)), p))
+                and any(ech.reduce(socle_vector(z.restrict((1, d_k)), p)))
             ]
             best = max((height(z, g, p) for z in candidates), default=-1)
             ok_max = h == best
             ok_mono = prev_h is None or h <= prev_h
             prev_h = h
-            v = socle_vector(x.restrict((1, d_k)), p)
-            if ech3.is_independent(v):
-                ech3.add(v)
+            ech.add(socle_vector(x.restrict((1, d_k)), p))
             ok_d = ok_member and ok_height and ok_max and ok_mono
             put("d", ok_d, f"generator {j + 1}: membership/height/maximality violated" if not ok_d else "")
 
@@ -381,14 +327,8 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
     # (f) the blocks split the socle against the deep tail
     if gs.blocks:
         d_last = gs.blocks[-1].d
-        ech4 = _FpEchelon(p)
-        indep_all = True
-        for x in gs.socle_elements:
-            v = socle_vector(x, p)
-            if not ech4.is_independent(v):
-                indep_all = False
-                break
-            ech4.add(v)
+        ech = FpEchelon(p)
+        indep_all = all(ech.add(socle_vector(x, p)) for x in gs.socle_elements)
         if d_last < n_window:
             tail = socle_subgroup(section(g, (d_last + 1, n_window)), p)
         else:
@@ -435,40 +375,24 @@ def encode(enc: Encoder, coeffs) -> Element:
 
 
 def _socle_solve(gs: GeneratingSet, w: Element) -> Optional[list[int]]:
-    """Coefficients over the p-element field with w == sum(alpha_m x_m)."""
+    """Coefficients over the p-element field with w == sum(alpha_m x_m).
+
+    Reduces socle_vector(w) | 0 against the rows socle_vector(x_m) | e_m: a
+    zero socle part leaves -alpha in the unit part.  The unit vectors run
+    backwards, so an x_m dependent on earlier ones gets alpha_m = 0.
+    """
     p = gs.prime
-    vecs = [socle_vector(x, p) for x in gs.socle_elements]
+    size = len(gs.socle_elements)
+    ech = FpEchelon(p)
+    for m, x in enumerate(gs.socle_elements):
+        unit = [0] * size
+        unit[size - 1 - m] = 1
+        ech.add(list(socle_vector(x, p)) + unit)
     target = socle_vector(w, p)
-    width = len(target)
-    # gaussian elimination on the transposed system
-    rows = [[vecs[m][f] for m in range(len(vecs))] + [target[f]] for f in range(width)]
-    ncols = len(vecs)
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][j] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][j], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j] % p:
-                c = rows[i][j]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(j)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1] % p:
-            return None
-    alpha = [0] * ncols
-    for row_idx, j in enumerate(pivots):
-        alpha[j] = rows[row_idx][-1] % p
-    return alpha
+    rest = ech.reduce(list(target) + [0] * size)
+    if any(rest[: len(target)]):
+        return None
+    return [-rest[len(target) + size - 1 - m] % p for m in range(size)]
 
 
 def represent(z: Element, enc: Encoder) -> list[int]:
@@ -490,11 +414,7 @@ def represent(z: Element, enc: Encoder) -> list[int]:
         if guard > 64:
             raise UndeterminedAtWindowError("order descent failed to terminate")
         order = rem.order()
-        s = -1
-        o = order
-        while o > 1:
-            o //= p
-            s += 1
+        s = p_valuation(order, p) - 1
         w = rem.scale(p**s)
         alpha = _socle_solve(gs, w)
         if alpha is None:
@@ -520,28 +440,13 @@ def represent(z: Element, enc: Encoder) -> list[int]:
 def verify_isomorphic_encoder(gs: GeneratingSet, g: WindowSubgroup) -> bool:
     """Exact window test: the coefficient map is a bijection onto the group.
 
-    Spanning plus matching cardinality decide this exactly for finite
-    windows; on small instances the kernel is additionally scanned
-    coefficient by coefficient.
+    The map sum(k_m * y_m) is well defined on prod Z(o_m) exactly when the
+    order of every y_m divides o_m.  A well-defined homomorphism onto the
+    group from a domain of the same cardinality is a bijection.
     """
-    y_span = span(g.window, gs.generators)
-    if y_span != g:
+    if any(o % y.order() for y, o in zip(gs.generators, gs.orders)):
         return False
-    size = prod(gs.orders) if gs.orders else 1
-    if size != g.order():
-        return False
-    if size <= KERNEL_SCAN_LIMIT:
-        zero = g.window.zero().flat
-        for combo in iter_product(*[range(o) for o in gs.orders]):
-            if not any(combo):
-                continue
-            acc = g.window.zero()
-            for k, y in zip(combo, gs.generators):
-                if k:
-                    acc = acc + y.scale(k)
-            if acc.flat == zero:
-                return False
-    return True
+    return span(g.window, gs.generators) == g and prod(gs.orders) == g.order()
 
 
 @dataclass(frozen=True, eq=False)
@@ -617,10 +522,7 @@ class CombinedEncoder:
         return out
 
     def total_order(self) -> int:
-        return prod(
-            prod(enc.generating_set.orders) if enc.generating_set.orders else 1
-            for _, enc in self.encoders
-        )
+        return prod(prod(enc.generating_set.orders) for _, enc in self.encoders)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,34 +10,27 @@ group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import gcd
 
 from .errors import InputError
-from .intlinalg import IntMatrix, left_kernel_basis
 from .window import (
     Element,
     ProductWindow,
     WindowSubgroup,
+    _prime_factor,
+    kernel_subgroup,
     membership,
-    project,
     section,
-    solve_in_subgroup,
 )
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _check_prime(p: int):
-    if not _is_prime(p):
+    try:
+        prime = _prime_factor(p) == (p, 1)
+    except InputError:
+        prime = False
+    if not prime:
         raise InputError(f"{p} is not prime")
 
 
@@ -51,9 +44,7 @@ def p_valuation(n: int, p: int) -> int:
 
 def is_p_group(g: WindowSubgroup, p: int) -> bool:
     e = g.exponent()
-    while e % p == 0:
-        e //= p
-    return e == 1
+    return e == p ** p_valuation(e, p)
 
 
 @dataclass(frozen=True)
@@ -71,25 +62,8 @@ class SocleBasis:
 def socle_subgroup(g: WindowSubgroup, p: int) -> WindowSubgroup:
     """The subgroup { x in G : p*x == 0 }."""
     _check_prime(p)
-    F = g.window.flat_length
-    mods = g.window.flat_orders
-    basis = g.basis
     # p*x vanishes iff every flat residue is divisible by m_f / gcd(m_f, p)
-    t = [m // gcd(m, p) for m in mods]
-    rows = [[basis[i][f] for f in range(F)] for i in range(F)]
-    for j in range(F):
-        row = [0] * F
-        row[j] = t[j]
-        rows.append(row)
-    kernel = left_kernel_basis(IntMatrix.from_rows(rows))
-    gens = []
-    for v in kernel:
-        flat = [0] * F
-        for i in range(F):
-            if v[i]:
-                flat = [a + v[i] * b for a, b in zip(flat, basis[i])]
-        gens.append(g.window.from_flat(flat))
-    return WindowSubgroup(g.window, gens)
+    return kernel_subgroup(g, [m // gcd(m, p) for m in g.window.flat_orders])
 
 
 def _socle_coordinates(window: ProductWindow, p: int):
@@ -125,49 +99,65 @@ def _from_socle_vector(window: ProductWindow, p: int, vec) -> Element:
     return window.from_flat(flat)
 
 
-def _fp_rref(rows, p: int):
-    """Reduced row echelon form over the p-element field; canonical."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][j] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][j], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][j] % p:
-                c = mat[i][j]
-                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(j)
-        r += 1
-    return [row for row in mat[:r]], pivots
+class FpEchelon:
+    """A row space over the p-element field, kept in reduced row echelon form.
+
+    Vectors may differ in length; a shorter one reads as zero-padded to the
+    longer, so vectors can grow between calls.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.width = 0  # longest vector added
+        self.rows: dict[int, list[int]] = {}  # pivot column -> row, 1 there
+
+    def reduce(self, vec) -> list[int]:
+        """The residue of ``vec`` modulo the span, zero at every pivot column."""
+        p = self.p
+        v = [a % p for a in vec]
+        for piv, row in self.rows.items():
+            c = v[piv] if piv < len(v) else 0
+            if c:
+                v = [(a - c * b) % p for a, b in zip_longest(v, row, fillvalue=0)]
+        return v
+
+    def add(self, vec) -> bool:
+        """Add ``vec`` to the span; return whether it was independent."""
+        self.width = max(self.width, len(vec))
+        v = self.reduce(vec)
+        piv = next((j for j, a in enumerate(v) if a), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, self.p)
+        v = [(a * inv) % self.p for a in v]
+        for j, row in self.rows.items():
+            c = row[piv] if piv < len(row) else 0
+            if c:
+                self.rows[j] = [
+                    (a - c * b) % self.p for a, b in zip_longest(row, v, fillvalue=0)
+                ]
+        self.rows[piv] = v
+        return True
+
+    @property
+    def basis(self) -> list[list[int]]:
+        """The canonical reduced row echelon basis, rows ordered by pivot."""
+        return [self.rows[j] + [0] * (self.width - len(self.rows[j])) for j in sorted(self.rows)]
 
 
 def socle(g: WindowSubgroup, p: int) -> SocleBasis:
     """A canonical basis of the socle G[p]."""
     _check_prime(p)
     sub = socle_subgroup(g, p)
-    vecs = [socle_vector(x, p) for x in sub.canonical_generators]
-    rref, _ = _fp_rref(vecs, p)
-    basis = tuple(_from_socle_vector(g.window, p, v) for v in rref)
+    ech = FpEchelon(p)
+    for x in sub.canonical_generators:
+        ech.add(socle_vector(x, p))
+    basis = tuple(_from_socle_vector(g.window, p, v) for v in ech.basis)
     return SocleBasis(prime=p, basis=basis)
 
 
 def socle_dimension(g: WindowSubgroup, p: int) -> int:
-    n = socle_subgroup(g, p).order()
-    d = 0
-    while n > 1:
-        n //= p
-        d += 1
-    return d
+    return p_valuation(socle_subgroup(g, p).order(), p)
 
 
 def height(x: Element, g: WindowSubgroup, p: int) -> int:

@@ -395,37 +395,43 @@ def project(g: WindowSubgroup, interval) -> WindowSubgroup:
     return WindowSubgroup(sub, gens)
 
 
+def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
+    """The subgroup { x in G : t_f divides x_f at every flat factor f }.
+
+    One SNF left kernel of the canonical basis against the moduli t_f, taken
+    over the columns with t_f != 1; each kernel vector combines basis rows
+    into a member.
+    """
+    F = g.window.flat_length
+    cols = [f for f in range(F) if t[f] != 1]
+    if not cols:
+        return WindowSubgroup(g.window, g.canonical_generators)
+    basis = g.basis
+    rows = [[basis[i][f] for f in cols] for i in range(F)]
+    for j, f in enumerate(cols):
+        row = [0] * len(cols)
+        row[j] = t[f]
+        rows.append(row)
+    gens = []
+    for v in left_kernel_basis(IntMatrix.from_rows(rows)):
+        flat = [0] * F
+        for i in range(F):
+            c = v[i]
+            if c:
+                flat = [a + c * b for a, b in zip(flat, basis[i])]
+        gens.append(g.window.from_flat(flat))
+    return WindowSubgroup(g.window, gens)
+
+
 def section(g: WindowSubgroup, interval) -> WindowSubgroup:
     """Members of the subgroup supported inside ``interval``, in the full window.
 
     This is the kernel of the projection onto the complementary coordinates.
     """
-    lo, hi = g.window.check_interval(interval)
-    F = g.window.flat_length
-    mods = g.window.flat_orders
     s, e = g.window.flat_slice(interval)
-    compl = [f for f in range(F) if f < s or f >= e]
-    if not compl:
-        return WindowSubgroup(g.window, g.canonical_generators)
-    basis = g.basis
-    t = [mods[f] for f in compl]
-    T = len(compl)
-    rows = [[basis[i][f] for f in compl] for i in range(F)]
-    for j in range(T):
-        row = [0] * T
-        row[j] = t[j]
-        rows.append(row)
-    kernel = left_kernel_basis(IntMatrix.from_rows(rows))
-    gens = []
-    for v in kernel:
-        flat = [0] * F
-        for i in range(F):
-            c = v[i]
-            if c:
-                row = basis[i]
-                flat = [a + c * b for a, b in zip(flat, row)]
-        gens.append(g.window.from_flat(flat))
-    return WindowSubgroup(g.window, gens)
+    return kernel_subgroup(
+        g, [1 if s <= f < e else m for f, m in enumerate(g.window.flat_orders)]
+    )
 
 
 def membership(x: Element, g: WindowSubgroup) -> bool:
@@ -442,15 +448,23 @@ def intersect_with_sum(g: WindowSubgroup, interval) -> WindowSubgroup:
     return section(g, interval)
 
 
-def membership_coefficients(x: Element, g: WindowSubgroup) -> list[int] | None:
-    """Coefficients expressing x over the canonical generators, or None."""
-    if x.window != g.window:
+def membership_coefficients(
+    x: Element, g: WindowSubgroup, *, scale: int = 1, interval=None
+) -> list[int] | None:
+    """Coefficients c with sum(c_j * scale * generator_j) == x, or None.
+
+    The sum runs over the canonical generators.  With ``interval``, x lives on
+    that sub-window and only the projection of the sum onto it must match.
+    """
+    window = g.window if interval is None else g.window.subwindow(interval)
+    if x.window != window:
         raise InputError("element and subgroup live in different windows")
     gens = g.canonical_generators
     if not gens:
         return [] if x.is_zero() else None
-    A = IntMatrix.from_rows([[gen.flat[f] for gen in gens] for f in range(g.window.flat_length)])
-    return solve_mixed_modulus(A, list(x.flat), list(g.window.flat_orders))
+    s, e = (0, window.flat_length) if interval is None else g.window.flat_slice(interval)
+    A = IntMatrix.from_rows([[scale * gen.flat[f] for gen in gens] for f in range(s, e)])
+    return solve_mixed_modulus(A, list(x.flat), list(window.flat_orders))
 
 
 def combine(g: WindowSubgroup, coefficients) -> Element:
@@ -477,15 +491,5 @@ def span(window: ProductWindow, elements) -> WindowSubgroup:
 
 def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Element | None:
     """Find y in the subgroup with scale*y == target, canonically chosen."""
-    if target.window != g.window:
-        raise InputError("element and subgroup live in different windows")
-    gens = g.canonical_generators
-    if not gens:
-        return g.window.zero() if target.is_zero() else None
-    A = IntMatrix.from_rows(
-        [[scale * gen.flat[f] for gen in gens] for f in range(g.window.flat_length)]
-    )
-    coeffs = solve_mixed_modulus(A, list(target.flat), list(g.window.flat_orders))
-    if coeffs is None:
-        return None
-    return combine(g, coeffs)
+    coeffs = membership_coefficients(target, g, scale=scale)
+    return None if coeffs is None else combine(g, coeffs)

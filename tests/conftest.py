@@ -11,6 +11,8 @@ from groupwindows import (
     WindowSubgroup,
 )
 
+import oracles
+
 
 @pytest.fixture
 def shift_template():
@@ -86,3 +88,13 @@ def random_mixed_group(rng: random.Random, max_order=1 << 12):
     if g.order() > max_order or g.is_trivial():
         return None
     return g
+
+
+def oracle_isomorphic_encoder(gs, g):
+    """The exhaustive oracle's verdict on a generating set's coefficient map."""
+    return oracles.naive_isomorphic_encoder(
+        [y.flat for y in gs.generators],
+        gs.orders,
+        [x.flat for x in g.generators],
+        list(g.window.flat_orders),
+    )

@@ -4,7 +4,7 @@ Everything here works on flat residue tuples and plain loops, sharing no code
 with the library's lattice machinery, so oracle agreement is meaningful.
 """
 
-from math import lcm
+from math import lcm, prod
 
 
 def flat_mods(components):
@@ -113,3 +113,31 @@ def naive_order_controllability_ok(span_set, slices, mods, i, n):
 
 def naive_exponent(span_set, mods):
     return lcm(*[naive_order(v, mods) for v in span_set]) if span_set else 1
+
+
+def naive_isomorphic_encoder(gens, orders, group_gens, mods):
+    """Is k -> sum(k_m * y_m) a bijective homomorphism from prod Z(o_m) onto the group?
+
+    Exhaustive: the map is well defined when o_m * y_m, added up term by
+    term, vanishes; it is bijective when every coefficient vector has its own
+    image and the images are exactly the group's elements.
+    """
+    for y, o in zip(gens, orders):
+        acc = tuple(0 for _ in mods)
+        for _ in range(o):
+            acc = tuple((a + b) % m for a, b, m in zip(acc, y, mods))
+        if any(acc):
+            return False
+    group = naive_span(group_gens, mods)
+    size = prod(orders)
+    if size != len(group):
+        return False
+    images = {tuple(0 for _ in mods)}
+    for y, o in zip(gens, orders):
+        multiples = [tuple((k * r) % m for r, m in zip(y, mods)) for k in range(o)]
+        images = {
+            tuple((a + b) % m for a, b, m in zip(v, w, mods))
+            for v in images
+            for w in multiples
+        }
+    return len(images) == size and images == group

@@ -35,7 +35,12 @@ from groupwindows import (
 )
 from groupwindows.cli import main
 
-from conftest import random_mixed_group, random_staggered_group, window_of
+from conftest import (
+    oracle_isomorphic_encoder,
+    random_mixed_group,
+    random_staggered_group,
+    window_of,
+)
 import oracles
 from test_intlinalg import brute_force_solve, column_order, snf_diagonal_from_divisors
 
@@ -133,6 +138,7 @@ def test_criterion_2_closure_encoder(tmp_path, shift_template):
     members = {e.flat for e in c8.elements()}
     assert image == members
     assert len(image) == c8.order() == prod(gs.orders)
+    assert verify_isomorphic_encoder(gs, c8) is oracle_isomorphic_encoder(gs, c8) is True
     _ok(2, "closure encoder claim")
 
 
@@ -182,7 +188,7 @@ def test_criterion_4_generating_set_property_suite():
 
         report = verify_block_properties(gs, g)
         assert report.passed(), (report.failures(), [x.flat for x in g.generators])
-        assert verify_isomorphic_encoder(gs, g)
+        assert verify_isomorphic_encoder(gs, g) is oracle_isomorphic_encoder(gs, g) is True
 
         # block-minimum height law, per block, all coefficient patterns
         counts = gs.block_counts()

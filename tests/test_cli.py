@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from groupwindows import fileio
+from groupwindows import cli, fileio
 from groupwindows.cli import main
-from groupwindows.errors import InputError
+from groupwindows.errors import InputError, WindowScaleError
 
 SHIFT_TEMPLATE = {
     "component_template": {"period": 1, "orders": [[4]]},
@@ -280,3 +280,17 @@ def test_synthesize_override_on_undetermined_window(tmp_path):
     manifest = json.loads(out.read_text())
     assert manifest["verdicts"]["determined"] is False
     assert manifest["verdicts"]["isomorphic_encoder"] is True
+
+
+def test_scale_limit_exits_4(tmp_path, monkeypatch, capsys):
+    # a scan over the element limit is not malformed input: own message, exit 4
+    path = write(tmp_path, "g.json", {"components": [[2]], "generators": [[[1]]]})
+
+    def refuse(*args, **kwargs):
+        raise WindowScaleError("subgroup has 2 elements, beyond the exact-scan limit 1")
+
+    monkeypatch.setattr(cli, "certify", refuse)
+    assert main(["check", "--input", path, "--property", "controllable"]) == 4
+    err = capsys.readouterr().err
+    assert "scale limit: subgroup has 2 elements" in err
+    assert "input error" not in err

@@ -1,0 +1,170 @@
+"""Differential tests of the shared primitives against brute force.
+
+``kernel_subgroup`` is checked against filtering the exhaustive span,
+``FpEchelon`` against exhaustive F_p spans, and ``_socle_solve`` by round
+trips through the socle elements it solves over.
+"""
+
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from groupwindows import GeneratingSet, WindowSubgroup
+from groupwindows.synthesis import _socle_solve
+from groupwindows.torsion import FpEchelon
+from groupwindows.window import kernel_subgroup
+
+from conftest import window_of
+import oracles
+
+ORDERS = (2, 3, 4, 5, 8, 9)
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def small_groups(draw):
+    """A window of at most three coordinates and a subgroup of at most 2^10 elements."""
+    comps = draw(
+        st.lists(st.lists(st.sampled_from(ORDERS), min_size=1, max_size=2), min_size=1, max_size=3)
+    )
+    w = window_of(*comps)
+    mods = w.flat_orders
+    flats = draw(
+        st.lists(st.tuples(*[st.integers(0, m - 1) for m in mods]), max_size=3)
+    )
+    g = WindowSubgroup(w, [w.from_flat(f) for f in flats])
+    if g.order() > 1 << 10:
+        g = WindowSubgroup(w, [w.from_flat(f) for f in flats[:1]])
+    return g
+
+
+def _brute_kernel(g, t):
+    mods = g.window.flat_orders
+    members = oracles.naive_span([x.flat for x in g.generators], mods)
+    return {v for v in members if all(r % tf == 0 for r, tf in zip(v, t))}
+
+
+def _flats(g):
+    return {x.flat for x in g.elements()}
+
+
+@SETTINGS
+@given(small_groups(), st.data())
+def test_kernel_subgroup_any_divisor_moduli(g, data):
+    t = [data.draw(st.sampled_from(_divisors(m))) for m in g.window.flat_orders]
+    assert _flats(kernel_subgroup(g, t)) == _brute_kernel(g, t)
+
+
+@SETTINGS
+@given(small_groups(), st.data())
+def test_kernel_subgroup_section_masks(g, data):
+    n = g.window.length
+    lo = data.draw(st.integers(1, n))
+    hi = data.draw(st.integers(lo, n))
+    s, e = g.window.flat_slice((lo, hi))
+    t = [1 if s <= f < e else m for f, m in enumerate(g.window.flat_orders)]
+    members = oracles.naive_span([x.flat for x in g.generators], g.window.flat_orders)
+    expected = oracles.naive_section(members, g.window.coord_slices, (lo, hi))
+    assert _brute_kernel(g, t) == expected
+    assert _flats(kernel_subgroup(g, t)) == expected
+
+
+@SETTINGS
+@given(small_groups())
+def test_kernel_subgroup_d_torsion(g):
+    # G[d] = { x : d*x == 0 } for every d dividing the exponent
+    mods = g.window.flat_orders
+    members = oracles.naive_span([x.flat for x in g.generators], mods)
+    for d in _divisors(g.exponent()):
+        t = [m // gcd(m, d) for m in mods]
+        expected = {v for v in members if all((d * r) % m == 0 for r, m in zip(v, mods))}
+        assert _flats(kernel_subgroup(g, t)) == expected
+
+
+def _pad(v, width):
+    return tuple(v) + (0,) * (width - len(v))
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_fp_echelon_matches_brute_force_span(p, data):
+    # lengths only grow, as the prefix vectors of deeper blocks do in synthesis
+    lengths = sorted(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    vecs = [data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n)) for n in lengths]
+    ech = FpEchelon(p)
+    span_set = {()}
+    width = 0
+    for v in vecs:
+        width = max(width, len(v))
+        span_set = {_pad(s, width) for s in span_set}
+        w = tuple(a % p for a in _pad(v, width))
+        independent = w not in span_set
+        assert any(ech.reduce(v)) == independent
+        assert ech.add(v) == independent
+        span_set = {
+            tuple((a + c * b) % p for a, b in zip(s, w)) for s in span_set for c in range(p)
+        }
+    basis = ech.basis
+    assert all(len(row) == width for row in basis)
+    pivots = [next(j for j, a in enumerate(row) if a) for row in basis]
+    assert pivots == sorted(pivots)
+    for row, piv in zip(basis, pivots):
+        assert row[piv] == 1
+        assert all(other[piv] == 0 for other in basis if other is not row)
+    assert oracles.naive_span(basis, [p] * width) == span_set
+    # the basis is canonical: another insertion order gives the same rows
+    again = FpEchelon(p)
+    for v in reversed(vecs):
+        again.add(_pad(v, width))
+    assert again.basis == basis
+
+
+@st.composite
+def socle_families(draw):
+    """Order-p elements of a window of cyclic p-power factors, possibly dependent."""
+    p = draw(st.sampled_from([2, 3]))
+    exps = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    w = window_of(*[[p**k] for k in exps])
+    halves = [m // p for m in w.flat_orders]
+    vectors = draw(
+        st.lists(st.tuples(*[st.integers(0, p - 1) for _ in halves]), min_size=1, max_size=4)
+    )
+    xs = tuple(w.from_flat([a * h for a, h in zip(v, halves)]) for v in vectors)
+    gs = GeneratingSet(
+        prime=p,
+        blocks=(),
+        socle_elements=xs,
+        generators=xs,
+        heights=(0,) * len(xs),
+        n_sequence={},
+    )
+    return gs, w, halves
+
+
+@SETTINGS
+@given(socle_families(), st.data())
+def test_socle_solve_round_trips(family, data):
+    gs, w, halves = family
+    p = gs.prime
+    members = oracles.naive_span([x.flat for x in gs.socle_elements], w.flat_orders)
+    size = len(gs.socle_elements)
+    alpha = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    target = w.zero()
+    for a, x in zip(alpha, gs.socle_elements):
+        target = target + x.scale(a)
+    got = _socle_solve(gs, target)
+    assert got is not None and all(0 <= a < p for a in got)
+    back = w.zero()
+    for a, x in zip(got, gs.socle_elements):
+        back = back + x.scale(a)
+    assert back.flat == target.flat
+    if len(members) == p**size:
+        assert got == alpha
+    # an arbitrary socle element of the window is solvable iff it is in the span
+    v = data.draw(st.tuples(*[st.integers(0, p - 1) for _ in halves]))
+    z = w.from_flat([a * h for a, h in zip(v, halves)])
+    assert (_socle_solve(gs, z) is not None) == (z.flat in members)

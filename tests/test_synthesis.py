@@ -24,7 +24,7 @@ from groupwindows import (
 )
 from groupwindows.errors import InputError
 
-from conftest import random_staggered_group, subgroup, window_of
+from conftest import oracle_isomorphic_encoder, random_staggered_group, subgroup, window_of
 import oracles
 
 
@@ -87,6 +87,7 @@ def test_raw_template_family_fails_on_the_closure(shift_template):
         n_sequence={i: min(i + 1, 8) for i in range(1, 9)},
     )
     assert not verify_isomorphic_encoder(raw, c8)
+    assert not oracle_isomorphic_encoder(raw, c8)
     assert not bool(check_implicit_direct_product(raw, c8))
 
 
@@ -198,6 +199,26 @@ def test_verify_isomorphic_encoder_dependent_generator_appended():
         n_sequence=gs.n_sequence,
     )
     assert not verify_isomorphic_encoder(padded, full)
+    assert not oracle_isomorphic_encoder(padded, full)
+
+
+def test_verify_isomorphic_encoder_rejects_ill_defined_map():
+    # y = 1 and y = 2 span Z(4) and the coefficient space Z(2) x Z(2) has 4
+    # elements, but 2 * 1 != 0: the coefficient map is not a homomorphism
+    w = window_of([4])
+    full = w.full_subgroup()
+    ys = (w.element([[1]]), w.element([[2]]))
+    ill = GeneratingSet(
+        prime=2,
+        blocks=(Block(d=1, size=2),),
+        socle_elements=tuple(y.scale(2) for y in ys),
+        generators=ys,
+        heights=(0, 0),
+        n_sequence={1: 1},
+    )
+    assert ill.orders == (2, 2)
+    assert not verify_isomorphic_encoder(ill, full)
+    assert not oracle_isomorphic_encoder(ill, full)
 
 
 def test_block_minimum_height_law():

@@ -31,8 +31,11 @@ def test_socle_examples():
 
 def test_socle_requires_prime():
     w = window_of([4], [2])
-    with pytest.raises(InputError):
-        socle(w.full_subgroup(), 4)
+    for n in (0, 1, 4, 6, 9, 15, 49):
+        with pytest.raises(InputError, match="is not prime"):
+            socle(w.full_subgroup(), n)
+    for p in (3, 5, 7, 97):
+        assert socle(w.full_subgroup(), p).dimension == 0
 
 
 def test_socle_running_example_closure_n3(shift_template):
