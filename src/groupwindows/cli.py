@@ -2,9 +2,9 @@
 
 Exit codes: 0 the property holds or every requested check passed, 1 a
 property failed (a witness is in the output), 2 undetermined at this window,
-3 malformed input or shape mismatch, 4 scale limit (an exact scan would list
-more elements than it allows).  Outputs are canonical JSON, so
-identical inputs and flags produce byte-identical files.
+3 malformed input or shape mismatch, 4 scale limit (a socle scan in
+synthesize or verify would list more elements than it allows).  Outputs are
+canonical JSON, so identical inputs and flags produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -17,17 +17,21 @@ index gets a flag recording whether it survived the growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
-from .errors import InputError, WindowScaleError
+from .errors import InputError
+from .intlinalg import row_lattice_basis
 from .templates import TemplateSpec, unroll_template
 from .window import (
     Element,
     WindowSubgroup,
     combine,
+    least_outside,
     membership_coefficients,
     project,
     section,
+    torsion_subgroup,
 )
 
 HOLDS = "holds"
@@ -61,20 +65,22 @@ class Certificate:
 
 
 class _Scans:
-    """Shared enumeration cache for one certificate computation."""
+    """Subgroups shared by the index searches of one certificate computation.
+
+    P_n is the projection of G onto [1, n] and S_n the projection of its
+    members supported in [1, n]; X[q] is the subgroup of X killed by q.
+    """
 
     def __init__(self, g: WindowSubgroup):
         self.g = g
-        self._sections: dict[int, WindowSubgroup] = {}
         self._proj_of_g: dict[int, WindowSubgroup] = {}
         self._proj_of_section: dict[tuple[int, int], WindowSubgroup] = {}
-        self._proj_elems: dict[int, tuple] = {}
-        self._sect_elems: dict[int, tuple] = {}
+        self._torsion: dict[int, tuple[list, list]] = {}
 
-    def sect(self, n: int) -> WindowSubgroup:
-        if n not in self._sections:
-            self._sections[n] = section(self.g, (1, n))
-        return self._sections[n]
+    @cached_property
+    def _section_rows(self) -> list:
+        """An echelon basis of G whose row f has its last nonzero entry at flat f."""
+        return _ending_rows(self.g.basis)
 
     def proj_g(self, i: int) -> WindowSubgroup:
         if i not in self._proj_of_g:
@@ -82,26 +88,61 @@ class _Scans:
         return self._proj_of_g[i]
 
     def proj_sect(self, i: int, n: int) -> WindowSubgroup:
+        """The projection onto [1, i] of the members of G supported in [1, n]."""
         key = (i, n)
         if key not in self._proj_of_section:
-            self._proj_of_section[key] = project(self.sect(n), (1, i))
+            self._proj_of_section[key] = self._prefix_span(self._section_rows, i, n)
         return self._proj_of_section[key]
 
-    def proj_elements(self, n: int):
-        """Elements of the projection of G onto [1, n], with flats and orders."""
-        if n not in self._proj_elems:
-            self._proj_elems[n] = tuple(
-                (e.flat, e.order(), e) for e in self.proj_g(n).elements()
-            )
-        return self._proj_elems[n]
+    def _prefix_span(self, rows, i: int, n: int, extra=()) -> WindowSubgroup:
+        """The span on [1, i] of ``extra`` and of the rows ending inside [1, n]."""
+        window = self.g.window
+        width = window.flat_slice((1, i))[1]
+        sub = window.subwindow((1, i))
+        ending = rows[: window.flat_slice((1, n))[1]]
+        return WindowSubgroup(sub, [sub.from_flat(r[:width]) for r in [*ending, *extra]])
 
-    def sect_elements(self, n: int):
-        """Members of G supported in [1, n], projected there, with flats/orders."""
-        if n not in self._sect_elems:
-            self._sect_elems[n] = tuple(
-                (e.flat, e.order(), e) for e in self.proj_sect(n, n).elements()
+    def torsion_rows(self, q: int) -> tuple[list, list]:
+        """Echelon rows of G[q] by last nonzero flat, and lifts by first one.
+
+        One echelon basis of the pairs (q*x, x), x in G, modulo the moduli in
+        both halves.  Its rows with a zero first half span G[q].  The others
+        are (q*y, y) with the first half's pivot at flat f, so the y with
+        f >= e lift the members of qG vanishing before flat e: G[q] and those
+        y generate the members of G that q sends there.
+        """
+        if q not in self._torsion:
+            F = self.g.window.flat_length
+            zero = [0] * F
+            rel = [[m if k == f else 0 for k in range(F)] for f, m in enumerate(self.g.window.flat_orders)]
+            rows = [[q * a for a in b] + list(b) for b in self.g.basis]
+            rows += [r + zero for r in rel] + [zero + r for r in rel]
+            ech = row_lattice_basis(rows, 2 * F)
+            self._torsion[q] = (
+                _ending_rows([r[F:] for r in ech[F:]]),
+                [r[F:] for r in ech[:F]],
             )
-        return self._sect_elems[n]
+        return self._torsion[q]
+
+    def order_demand(self, i: int, n: int, q: int) -> WindowSubgroup:
+        """pi_[1,i](P_n[q]): the [1, i]-prefixes of the x in G with q*x zero on [1, n]."""
+        kernel, lifts = self.torsion_rows(q)
+        width = self.g.window.flat_slice((1, n))[1]
+        return self._prefix_span(kernel, i, self.g.window.length, lifts[width:])
+
+    def order_offer(self, i: int, n: int, q: int, extra=()) -> WindowSubgroup:
+        """pi_[1,i](S_n[q]), spanned together with ``extra``."""
+        return self._prefix_span(self.torsion_rows(q)[0], i, n, extra)
+
+
+def _ending_rows(basis) -> list:
+    """An echelon basis of a full-rank lattice whose row f ends at entry f.
+
+    The rows ending before a position span the lattice vectors vanishing
+    from there on, so every prefix section reads its generators off here.
+    """
+    rows = row_lattice_basis([row[::-1] for row in basis], len(basis))
+    return [row[::-1] for row in reversed(rows)]
 
 
 def controllability_index(g: WindowSubgroup, i: int, cap: int) -> Optional[int]:
@@ -131,45 +172,40 @@ def _ctrl_index(scans: _Scans, i: int, cap: int) -> Optional[int]:
     return None
 
 
-def _prefix_flat_length(sub_window, i: int) -> int:
-    return sub_window.flat_slice((1, i))[1]
-
-
-def _order_condition_profiles(scans: _Scans, i: int, n: int):
-    """Per-prefix order demands (from projections) and offers (from sections)."""
-    plen = _prefix_flat_length(scans.g.window.subwindow((1, n)), i)
-    demands: dict[tuple, set[int]] = {}
-    for flat, order, _ in scans.proj_elements(n):
-        demands.setdefault(flat[:plen], set()).add(order)
-    offers: dict[tuple, set[int]] = {}
-    for flat, order, _ in scans.sect_elements(n):
-        offers.setdefault(flat[:plen], set()).add(order)
-    return demands, offers
-
-
 def _order_condition_holds(scans: _Scans, i: int, n: int) -> bool:
-    demands, offers = _order_condition_profiles(scans, i, n)
-    for prefix, orders in demands.items():
-        have = offers.get(prefix)
-        if not have:
-            return False
-        for o in orders:
-            if not any(o % d == 0 for d in have):
+    """Every w in P_n has a z in S_n with w's [1, i]-prefix and order dividing w's.
+
+    The members of order dividing q that are matched form a subgroup, so the
+    condition reads pi_[1,i](P_n[q]) inside pi_[1,i](S_n[q]) for every prime
+    power q, an equality since S_n lies in P_n.  Both sides split by primes,
+    and at a power of p that kills the p-part of G the test is that part of
+    the controllability identity, checked first; smaller powers follow.
+    """
+    if scans.proj_sect(i, n) != scans.proj_g(i):
+        return False
+    e = scans.g.exponent()
+    for p in scans.g.window.primes():
+        q = p
+        while e % (q * p) == 0:
+            if scans.order_offer(i, n, q) != scans.order_demand(i, n, q):
                 return False
+            q *= p
     return True
 
 
-def _order_failures(scans: _Scans, i: int, n: int):
-    """Projection elements with no order-compatible companion, sorted."""
-    plen = _prefix_flat_length(scans.g.window.subwindow((1, n)), i)
-    _, offers = _order_condition_profiles(scans, i, n)
-    failing = []
-    for flat, order, elem in scans.proj_elements(n):
-        have = offers.get(flat[:plen], ())
-        if not any(order % d == 0 for d in have):
-            failing.append((order, flat, elem))
-    failing.sort(key=lambda t: (t[0], t[1]))
-    return failing
+def _order_witness(scans: _Scans, i: int, cap: int) -> Element:
+    """The (order, flat)-least w in P_cap with no companion of dividing order.
+
+    A companion of w of order dividing q exists exactly when w lies in
+    S_cap[q] plus the members of [1, cap] vanishing on [1, i].
+    """
+    window = scans.proj_g(cap).window
+    free = []
+    for f in range(window.flat_slice((1, i))[1], window.flat_length):
+        free.append([1 if k == f else 0 for k in range(window.flat_length)])
+    return least_outside(
+        scans.proj_g(cap), lambda q: scans.order_offer(cap, cap, q, free)
+    )
 
 
 def _lift_prefix(g: WindowSubgroup, prefix_elem: Element, n: int) -> Element:
@@ -202,22 +238,12 @@ def _order_index(scans: _Scans, i: int, cap: int):
     for n in range(i, cap + 1):
         if _order_condition_holds(scans, i, n):
             return n, None, None
-    failing = _order_failures(scans, i, cap)
-    if not failing:
-        # prefixes themselves were unmatched at every n; reuse the worst depth
-        witness_proj = None
-    else:
-        witness_proj = failing[0][2]
-    if witness_proj is None:
-        # fall back to a plain controllability witness
-        witness, context = _controllability_witness(scans, i, cap)
-        context["reason"] = "prefix-unmatched"
-        return None, witness, context
-    witness = _lift_prefix(scans.g, witness_proj, cap)
+    proj = _order_witness(scans, i, cap)
+    witness = _lift_prefix(scans.g, proj, cap)
     context = {
         "i": i,
         "n": cap,
-        "projection_order": witness_proj.order(),
+        "projection_order": proj.order(),
         "reason": "order-obstruction",
     }
     return None, witness, context
@@ -225,11 +251,7 @@ def _order_index(scans: _Scans, i: int, cap: int):
 
 def _controllability_witness(scans: _Scans, i: int, cap: int):
     """An element of G whose [1, i]-prefix no member supported in [1, cap] matches."""
-    target = scans.proj_g(i)
-    reachable = scans.proj_sect(i, cap)
-    missing = [e for e in target.elements() if not reachable.contains(e)]
-    missing.sort(key=lambda e: (e.order(), e.flat))
-    prefix = missing[0]
+    prefix = least_outside(scans.proj_g(i), scans.proj_sect(i, cap))
     lift = _lift_prefix(scans.g, prefix, i)
     return lift, {"i": i, "n": cap, "projection_order": prefix.order()}
 
@@ -453,19 +475,12 @@ def is_rectangular(g: WindowSubgroup, *, max_index: Optional[int] = None) -> Cer
             stabilization={i: True for i in range(1, idx_range + 1)},
             notes={"box_order": box.order()},
         )
-    try:
-        candidates = [e for e in box.elements() if not g.contains(e)]
-        witness = min(candidates, key=lambda e: (e.order(), e.flat))
-    except WindowScaleError:
-        # box too large to scan; some embedded coordinate generator must be
-        # missing from G, otherwise the box would equal G
-        witness = next(e for e in embedded if not g.contains(e))
     return Certificate(
         property="rectangular",
         window=n,
         status=FAILS,
         indices={},
-        witness=witness,
+        witness=least_outside(box, g),
         witness_context={"reason": "product-of-projections-exceeds-subgroup"},
         stabilization={},
         notes={"box_order": box.order(), "group_order": g.order()},
@@ -523,10 +538,7 @@ def is_weakly_observable(
     witness = None
     context = None
     if not ok:
-        diff = [e for e in matchable.elements() if not actual.contains(e)]
-        witness = min(diff, key=lambda e: (e.order(), e.flat)).embed(
-            h_big.window, (1, n_small)
-        )
+        witness = least_outside(matchable, actual).embed(h_big.window, (1, n_small))
         context = {
             "depth": n_small,
             "reason": "prefix-matchable element with no finite-support member",
@@ -576,14 +588,11 @@ def revalidate_witness(cert: Certificate, g: WindowSubgroup) -> bool:
         i, n = cert.witness_context["i"], cert.witness_context["n"]
         if not g.contains(w):
             return False
+        # valid iff no member supported in [1, n] of order dividing that of
+        # w|[1,n] shares its [1, i]-prefix
         proj = w.restrict((1, n))
-        target_order = proj.order()
-        prefix = proj.flat[: _prefix_flat_length(proj.window, i)]
-        companions = project(section(g, (1, n)), (1, n)).elements()
-        for z in companions:
-            if z.flat[: len(prefix)] == prefix and target_order % z.order() == 0:
-                return False
-        return True
+        offers = torsion_subgroup(project(section(g, (1, n)), (1, n)), proj.order())
+        return not project(offers, (1, i)).contains(proj.restrict((1, i)))
     raise InputError(f"unknown certificate property {cert.property!r}")
 
 

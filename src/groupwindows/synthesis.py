@@ -291,6 +291,7 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         ech = FpEchelon(p)
         for x in gs.socle_elements[:lo]:
             ech.add(socle_vector(x.restrict((1, d_k)), p))
+        heights: dict[tuple, int] = {}  # arena heights in g, shared by the block
         prev_h = None
         for j in range(lo, hi):
             x = gs.socle_elements[j]
@@ -302,7 +303,10 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
                 if not z.is_zero()
                 and any(ech.reduce(socle_vector(z.restrict((1, d_k)), p)))
             ]
-            best = max((height(z, g, p) for z in candidates), default=-1)
+            for z in candidates:
+                if z.flat not in heights:
+                    heights[z.flat] = height(z, g, p)
+            best = max((heights[z.flat] for z in candidates), default=-1)
             ok_max = h == best
             ok_mono = prev_h is None or h <= prev_h
             prev_h = h

@@ -11,26 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import gcd
 
 from .errors import InputError
 from .window import (
     Element,
     ProductWindow,
     WindowSubgroup,
-    _prime_factor,
-    kernel_subgroup,
     membership,
+    prime_power,
     section,
+    torsion_subgroup,
 )
 
 
 def _check_prime(p: int):
-    try:
-        prime = _prime_factor(p) == (p, 1)
-    except InputError:
-        prime = False
-    if not prime:
+    if prime_power(p) != (p, 1):
         raise InputError(f"{p} is not prime")
 
 
@@ -62,8 +57,7 @@ class SocleBasis:
 def socle_subgroup(g: WindowSubgroup, p: int) -> WindowSubgroup:
     """The subgroup { x in G : p*x == 0 }."""
     _check_prime(p)
-    # p*x vanishes iff every flat residue is divisible by m_f / gcd(m_f, p)
-    return kernel_subgroup(g, [m // gcd(m, p) for m in g.window.flat_orders])
+    return torsion_subgroup(g, p)
 
 
 def _socle_coordinates(window: ProductWindow, p: int):

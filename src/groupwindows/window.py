@@ -15,7 +15,7 @@ inclusive, matching the certificate and file formats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .errors import InputError, WindowScaleError
@@ -25,32 +25,74 @@ from .intlinalg import IntMatrix, left_kernel_basis, row_lattice_basis, solve_mi
 ENUM_LIMIT = 1 << 20
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality of
+# every n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r**k <= n, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.
+
+    A base that witnesses compositeness is proof at any size; passing every
+    base proves primality below _MR_LIMIT only, so beyond it InputError.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise InputError(f"cannot decide whether {n} is prime: beyond {_MR_LIMIT}")
+    return True
+
+
+@lru_cache(maxsize=1024)
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n == p**k and p prime, or None when n is no prime power.
+
+    The largest k with an exact k-th root leaves a root that is no perfect
+    power itself, so n is a prime power exactly when that root is prime.
+    """
+    if n < 2:
+        return None
+    for k in range(n.bit_length() - 1, 1, -1):
+        r = _iroot(n, k)
+        if r**k == n:
+            return (r, k) if _is_prime(r) else None
+    return (n, 1) if _is_prime(n) else None
+
+
 def _prime_factor(n: int) -> tuple[int, int]:
     """Return (p, k) with n == p**k, or raise InputError."""
-    if n < 2:
+    pk = prime_power(n)
+    if pk is None:
         raise InputError(f"factor order {n} is not a prime power")
-    m = n
-    p = None
-    for q in range(2, n + 1):
-        if q * q > m:
-            if p is None:
-                p = m
-            elif m != 1 and m % p:
-                raise InputError(f"factor order {n} is not a prime power")
-            break
-        if m % q == 0:
-            p = q
-            break
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise InputError(f"factor order {n} is not a prime power")
-    k = 0
-    mm = n
-    while mm > 1:
-        mm //= p
-        k += 1
-    return p, k
+    return pk
 
 
 @dataclass(frozen=True)
@@ -432,6 +474,62 @@ def section(g: WindowSubgroup, interval) -> WindowSubgroup:
     return kernel_subgroup(
         g, [1 if s <= f < e else m for f, m in enumerate(g.window.flat_orders)]
     )
+
+
+def torsion_subgroup(g: WindowSubgroup, q: int) -> WindowSubgroup:
+    """The subgroup G[q] = { x in G : q*x == 0 }."""
+    # q*x vanishes iff every flat residue is divisible by m_f / gcd(m_f, q)
+    return kernel_subgroup(g, [m // gcd(m, q) for m in g.window.flat_orders])
+
+
+def least_outside(a: WindowSubgroup, b) -> Element | None:
+    """The member of ``a`` outside ``b`` of least order, then least flat vector.
+
+    ``b`` is a subgroup of a's window, or a map from a prime power q to the
+    subgroup the members of order q must avoid, growing along divisibility.
+    Returns None when no member is outside.
+
+    A least-order member outside has prime-power order: its primary
+    components are multiples of it and one of them is already outside.  So
+    the search takes the least prime power q with a[q] not inside b(q); every
+    member of a[q] outside b(q) then has order exactly q, and the least of
+    them comes from a[q]'s echelon basis.
+    """
+    b_of = b if callable(b) else (lambda q: b)
+    e = a.exponent()
+    powers = []
+    for p in a.window.primes():
+        q = p
+        while e % q == 0:
+            powers.append(q)
+            q *= p
+    for q in sorted(powers):
+        aq, bq = torsion_subgroup(a, q), b_of(q)
+        if not all(bq.contains(x) for x in aq.canonical_generators):
+            return _least_in_difference(aq, bq)
+    return None
+
+
+def _least_in_difference(a: WindowSubgroup, b: WindowSubgroup) -> Element:
+    """The lexicographically least member of ``a`` outside ``b``, given one exists.
+
+    Echelon row f has its pivot d_f at flat f, so the members agreeing before
+    f take the values r, r + d_f, ... there, with r the least.  Before the
+    last row outside b, every choice still leaves members outside, so r is
+    taken.  At that row the later rows lie in b: r is kept unless the member
+    so far lies in b, and then r + d_f gives one outside.  After it, r again.
+    """
+    window = a.window
+    rows = a.basis
+    last = max(f for f, row in enumerate(rows) if not b.contains(window.from_flat(row)))
+    vec = [0] * len(rows)
+    for f, row in enumerate(rows):
+        k = vec[f] // row[f]
+        if k:
+            vec = [x - k * y for x, y in zip(vec, row)]
+        if f == last and b.contains(window.from_flat(vec)):
+            vec = [x + y for x, y in zip(vec, row)]
+    return window.from_flat(vec)
 
 
 def membership(x: Element, g: WindowSubgroup) -> bool:

@@ -95,6 +95,29 @@ def test_criterion_1_counterexample_template(tmp_path, shift_template):
     _ok(1, "counterexample template")
 
 
+@pytest.mark.parametrize("n", (16, 32))
+def test_criterion_1_counterexample_template_large_windows(tmp_path, n):
+    """Criterion 1 at windows too large to list: the check fails with a
+    witness in the group (independent lattice membership) whose projection
+    onto [1, n_i] has order 2."""
+    template_path = tmp_path / "template.json"
+    template_path.write_text(json.dumps(SHIFT_TEMPLATE))
+    cert_path = tmp_path / "cert.json"
+    argv = ["check", "--input", str(template_path), "--property", "order-controllable"]
+    assert main(argv + ["--window", str(n), "--out", str(cert_path)]) == 1
+    cert = json.loads(cert_path.read_text())
+    assert cert["status"] == "fails"
+    # the unrolled template: (2, 1, 0, ...) and e_s + e_{s+1} for 2 <= s < n
+    gens = [[2, 1] + [0] * (n - 2)]
+    gens += [[1 if k in (s, s + 1) else 0 for k in range(n)] for s in range(1, n - 1)]
+    witness = [r[0] for r in cert["witness"]]
+    assert oracles.Lattice([4] * n, gens).contains(witness)
+    bound = cert["witness_context"]["n"]
+    assert oracles.naive_order(witness[:bound], [4] * bound) == 2
+    assert cert["witness_context"]["projection_order"] == 2
+    _ok(1, f"counterexample template at N = {n}")
+
+
 def test_criterion_2_closure_encoder(tmp_path, shift_template):
     """At N = 8 the closure admits an isomorphic encoder and satisfies the
     implicit-direct-product identity, both sides enumerated exhaustively."""

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from groupwindows import cli, fileio
+from groupwindows import WindowSubgroup, cli, fileio
 from groupwindows.cli import main
 from groupwindows.errors import InputError, WindowScaleError
 
@@ -294,3 +294,24 @@ def test_scale_limit_exits_4(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "scale limit: subgroup has 2 elements" in err
     assert "input error" not in err
+
+
+def test_check_lists_no_elements(template_path, tmp_path, monkeypatch):
+    # every check is decided by lattice inclusions, so none lists elements
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("check listed the elements of a subgroup")
+
+    monkeypatch.setattr(WindowSubgroup, "elements", refuse)
+    expected = {
+        "weakly-controllable": 0,
+        "controllable": 2,
+        "order-controllable": 1,
+        "weakly-observable": 1,
+        "rectangular": 1,
+    }
+    for prop, code in expected.items():
+        out = tmp_path / f"{prop}.json"
+        argv = ["check", "--input", template_path, "--property", prop, "--window", "12"]
+        assert main(argv + ["--out", str(out)]) == code, prop
+        cert = json.loads(out.read_text())
+        assert ("witness" in cert) == (code == 1)

@@ -1,8 +1,9 @@
 """Differential tests of the shared primitives against brute force.
 
 ``kernel_subgroup`` is checked against filtering the exhaustive span,
-``FpEchelon`` against exhaustive F_p spans, and ``_socle_solve`` by round
-trips through the socle elements it solves over.
+``least_outside`` against the least listed member outside, ``FpEchelon``
+against exhaustive F_p spans, and ``_socle_solve`` by round trips through
+the socle elements it solves over.
 """
 
 from math import gcd
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from groupwindows import GeneratingSet, WindowSubgroup
 from groupwindows.synthesis import _socle_solve
 from groupwindows.torsion import FpEchelon
-from groupwindows.window import kernel_subgroup
+from groupwindows.window import kernel_subgroup, least_outside, torsion_subgroup
 
 from conftest import window_of
 import oracles
@@ -83,6 +84,50 @@ def test_kernel_subgroup_d_torsion(g):
         t = [m // gcd(m, d) for m in mods]
         expected = {v for v in members if all((d * r) % m == 0 for r, m in zip(v, mods))}
         assert _flats(kernel_subgroup(g, t)) == expected
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """Two or three subgroups of one window: a, b, and c for a q-dependent b."""
+    a = draw(small_groups())
+    w = a.window
+    others = []
+    for _ in range(2):
+        flats = draw(st.lists(st.tuples(*[st.integers(0, m - 1) for m in w.flat_orders]), max_size=2))
+        others.append(WindowSubgroup(w, [w.from_flat(f) for f in flats]))
+    return a, others[0], others[1]
+
+
+@SETTINGS
+@given(subgroup_pairs())
+def test_least_outside_matches_listing(groups):
+    a, b, c = groups
+    mods = a.window.flat_orders
+    a_set = oracles.naive_span([x.flat for x in a.generators], mods)
+    b_set = oracles.naive_span([x.flat for x in b.generators], mods)
+    outside = a_set - b_set
+    got = least_outside(a, b)
+    if not outside:
+        assert got is None
+    else:
+        key = lambda v: (oracles.naive_order(v, mods), v)  # noqa: E731
+        assert got is not None and got.flat == min(outside, key=key)
+
+    # b growing with q: b(q) = b + c[q]
+    c_set = oracles.naive_span([x.flat for x in c.generators], mods)
+
+    def b_of(q):
+        return WindowSubgroup(a.window, b.generators + torsion_subgroup(c, q).generators)
+
+    def b_set_of(q):
+        killed = [v for v in c_set if all((q * r) % m == 0 for r, m in zip(v, mods))]
+        return oracles.naive_span([x.flat for x in b.generators] + killed, mods)
+
+    want = oracles.naive_least_outside(a_set, b_set_of, mods)
+    got = least_outside(a, b_of)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.flat == want
 
 
 def _pad(v, width):

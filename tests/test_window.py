@@ -13,7 +13,7 @@ from groupwindows import (
     section,
 )
 from groupwindows.errors import InputError
-from groupwindows.window import combine, membership_coefficients
+from groupwindows.window import combine, membership_coefficients, prime_power
 
 from conftest import subgroup, window_of
 import oracles
@@ -214,3 +214,51 @@ def test_coset_representative_roundtrip_preserves_order():
     rep = g.coset_representative(outside)
     assert not rep.is_zero()
     assert g.coset_representative(outside + g.canonical_generators[0]).flat == rep.flat
+
+
+# ---------------------------------------------------------------- prime powers
+
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2, (2, 1)),
+        (4, (2, 2)),
+        (97, (97, 1)),
+        (3**7, (3, 7)),
+        (MERSENNE_61, (MERSENNE_61, 1)),
+        (MERSENNE_61**2, (MERSENNE_61, 2)),
+        (2**100, (2, 100)),
+        (999_983**3, (999_983, 3)),
+    ],
+)
+def test_prime_power_roots(n, expected):
+    assert prime_power(n) == expected
+    assert ComponentGroup((n,)).primes() == {expected[0]}
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        0, 1, 6, 12, 36,
+        2047,  # 23 * 89, a strong pseudoprime to base 2
+        MERSENNE_61 + 2,  # 3 * 768614336404564651, next to a prime
+        MERSENNE_61 * 2,
+        (2**31 - 1) * MERSENNE_61,
+        999_983**2 * 1_000_003,
+    ],
+)
+def test_prime_power_rejects_composites(n):
+    assert prime_power(n) is None
+    with pytest.raises(InputError, match=f"factor order {n} is not a prime power"):
+        ComponentGroup((n,))
+
+
+def test_prime_power_refuses_roots_beyond_the_proven_range():
+    # the least strong pseudoprime to the bases 2..41: it must not pass as prime
+    psi_13 = 3_317_044_064_679_887_385_961_981
+    for n in (psi_13, 2**89 - 1, (2**89 - 1) ** 2):
+        with pytest.raises(InputError, match="cannot decide whether"):
+            prime_power(n)
