@@ -2,9 +2,10 @@
 
 Exit codes: 0 the property holds or every requested check passed, 1 a
 property failed (a witness is in the output), 2 undetermined at this window,
-3 malformed input or shape mismatch, 4 scale limit (a socle scan in
-synthesize or verify would list more elements than it allows).  Outputs are
-canonical JSON, so identical inputs and flags produce byte-identical files.
+3 malformed input or shape mismatch, 4 scale limit (``WindowScaleError``,
+which only ``WindowSubgroup.elements`` raises; no command lists elements, so
+it is kept for library callers).  Outputs are canonical JSON, so identical
+inputs and flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -304,9 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built on the first call of main
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

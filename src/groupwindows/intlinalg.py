@@ -129,11 +129,6 @@ def _swap_cols(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _negate_col(a, j):
-    for row in a:
-        row[j] = -row[j]
-
-
 def _add_col(a, dst, src, q):
     if q:
         for row in a:

@@ -36,22 +36,24 @@ from .errors import InputError, UndeterminedAtWindowError
 from .torsion import (
     FpEchelon,
     PrimaryDecomposition,
-    height,
+    height_layer,
+    height_layers,
     is_p_group,
     p_valuation,
     primary_decompose,
-    socle_dimension,
     socle_subgroup,
     socle_vector,
 )
 from .window import (
     Element,
     WindowSubgroup,
+    least_in_difference,
     membership,
     project,
     section,
     solve_in_subgroup,
     span,
+    torsion_subgroup,
 )
 
 
@@ -90,47 +92,22 @@ class GeneratingSet:
             counts.append(counts[-1] + b.size)
         return counts
 
-    def block_of(self, j: int) -> int:
-        """1-based block index holding generator j (1-based)."""
-        counts = self.block_counts()
-        for k in range(1, len(counts)):
-            if counts[k - 1] < j <= counts[k]:
-                return k
-        raise InputError(f"generator index {j} outside the blocks")
-
 
 def _prefix_socle_vector(x: Element, d: int, p: int):
     return socle_vector(x.restrict((1, d)), p)
 
 
-def _max_height_pick(candidates, g, inner_section, lift_section, p):
-    """First lex candidate of maximal ambient height with a realizable lift.
+def _prefix_in_span(echelon: FpEchelon, d: int, p: int):
+    """The test whether a socle element's [1, d]-prefix lies in the echelon's span."""
+    return lambda z: not any(echelon.reduce(_prefix_socle_vector(z, d, p)))
 
-    ``candidates`` come sorted by residue vector.  Among those of maximal
-    height in the ambient group, prefer ones whose height is realized inside
-    the window section and whose divided lift exists inside ``lift_section``;
-    ties stay lexicographic.
-    """
-    scored = []
-    for z in candidates:
-        h = height(z, g, p)
-        scored.append((h, z))
-    best = max(h for h, _ in scored)
-    pool = [z for h, z in scored if h == best]
-    for z in pool:
-        if height(z, inner_section, p) != best:
-            continue
-        y = solve_in_subgroup(lift_section, z, scale=p**best)
-        if y is not None:
-            return z, best, y, True
-    # no section-realized candidate; fall back to the lex-first of maximal height
-    z = pool[0]
-    y = solve_in_subgroup(lift_section, z, scale=p**best)
-    if y is None:
-        y = solve_in_subgroup(g, z, scale=p**best)
-    if y is None:
-        raise InputError("height bookkeeping is inconsistent; no lift exists")
-    return z, best, y, False
+
+def _max_height(layers, inside) -> int:
+    """The largest h with a layer generator outside ``inside`` (a subgroup test), or -1."""
+    return next(
+        (h for h in reversed(range(len(layers))) if not all(map(inside, layers[h].canonical_generators))),
+        -1,
+    )
 
 
 def synthesize_p(
@@ -160,7 +137,7 @@ def synthesize_p(
         n_sequence[i] = certificate.indices.get(i, n_window)
 
     soc = socle_subgroup(g, p)
-    total_dim = socle_dimension(g, p)
+    total_dim = p_valuation(soc.order(), p)
     if total_dim == 0:
         return GeneratingSet(
             prime=p, blocks=(), socle_elements=(), generators=(), heights=(),
@@ -187,25 +164,30 @@ def synthesize_p(
             break
         target = projected_dim(d_k)
         n_dk = n_sequence[d_k]
-        arena = socle_subgroup(section(g, (d_prev + 1, n_dk)), p)
-        inner = section(g, (1, n_dk))
+        arena = (d_prev + 1, n_dk)  # where the block's socle elements are supported
+        layers = height_layers(g, p, arena)
         below = [i for i, n in n_sequence.items() if n < d_k]
-        lift_lo = (max(below) + 1) if below else 1
-        lift_section = section(g, (lift_lo, n_dk)) if lift_lo > 1 else inner
-
+        lift_section = section(g, ((max(below) + 1) if below else 1, n_dk))
+        inside = _prefix_in_span(echelon, d_k, p)
         added = 0
-        pool = [z for z in arena.elements() if not z.is_zero()]
         while len(xs) < target:
-            candidates = [
-                z for z in pool
-                if any(echelon.reduce(_prefix_socle_vector(z, d_k, p)))
-            ]
-            if not candidates:
+            # the candidates are the arena members with a prefix outside the span
+            h = _max_height(layers, inside)
+            if h < 0:
                 determined = False
                 break
-            z, h, y, clean = _max_height_pick(candidates, g, inner, lift_section, p)
-            if not clean:
-                determined = False
+            # the least candidate of maximal height, preferring one that
+            # divides by p^h inside the lift section
+            scale = p**h
+            z = least_in_difference(layers[h], inside)
+            y = solve_in_subgroup(lift_section, z, scale=scale)
+            if y is None:
+                z_lift = least_in_difference(height_layer(lift_section, p, h, arena), inside)
+                if z_lift is not None:
+                    z, y = z_lift, solve_in_subgroup(lift_section, z_lift, scale=scale)
+                else:
+                    y = solve_in_subgroup(g, z, scale=scale)
+                    determined = False
             echelon.add(_prefix_socle_vector(z, d_k, p))
             xs.append(z)
             ys.append(y)
@@ -287,30 +269,24 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         put("eq1", spans, f"block {k}: projected socle differs from projected span" if not spans else "")
 
         # (d) membership, maximal height, nonincreasing heights
-        arena = socle_subgroup(section(g, (d_prev + 1, n_dk)), p)
+        layers = height_layers(g, p, (d_prev + 1, n_dk))
         ech = FpEchelon(p)
         for x in gs.socle_elements[:lo]:
-            ech.add(socle_vector(x.restrict((1, d_k)), p))
-        heights: dict[tuple, int] = {}  # arena heights in g, shared by the block
+            ech.add(_prefix_socle_vector(x, d_k, p))
+        inside = _prefix_in_span(ech, d_k, p)
         prev_h = None
         for j in range(lo, hi):
             x = gs.socle_elements[j]
-            ok_member = arena.contains(x) and x.order() == p
-            h = height(x, g, p) if ok_member else -1
+            ok_member = layers[0].contains(x) and x.order() == p
+            best = _max_height(layers, inside)
+            if (ok_member or best >= 0) and not is_p_group(g, p):
+                raise InputError("heights are defined inside p-groups")
+            h = max(lv for lv, layer in enumerate(layers) if layer.contains(x)) if ok_member else -1
             ok_height = h == gs.heights[j]
-            candidates = [
-                z for z in arena.elements()
-                if not z.is_zero()
-                and any(ech.reduce(socle_vector(z.restrict((1, d_k)), p)))
-            ]
-            for z in candidates:
-                if z.flat not in heights:
-                    heights[z.flat] = height(z, g, p)
-            best = max((heights[z.flat] for z in candidates), default=-1)
             ok_max = h == best
             ok_mono = prev_h is None or h <= prev_h
             prev_h = h
-            ech.add(socle_vector(x.restrict((1, d_k)), p))
+            ech.add(_prefix_socle_vector(x, d_k, p))
             ok_d = ok_member and ok_height and ok_max and ok_mono
             put("d", ok_d, f"generator {j + 1}: membership/height/maximality violated" if not ok_d else "")
 
@@ -334,13 +310,12 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         ech = FpEchelon(p)
         indep_all = all(ech.add(socle_vector(x, p)) for x in gs.socle_elements)
         if d_last < n_window:
-            tail = socle_subgroup(section(g, (d_last + 1, n_window)), p)
+            tail = torsion_subgroup(g, p, (d_last + 1, n_window))
         else:
             tail = g.window.trivial_subgroup()
         total = span(g.window, list(gs.socle_elements) + list(tail.canonical_generators))
         covers = total == soc
-        tail_dim = socle_dimension(tail, p) if not tail.is_trivial() else 0
-        split = len(gs.socle_elements) + tail_dim == socle_dimension(g, p)
+        split = len(gs.socle_elements) + p_valuation(tail.order(), p) == p_valuation(soc.order(), p)
         ok_f = indep_all and covers and split
         put("f", ok_f, "socle does not split as blocks plus tail" if not ok_f else "")
     return BlockReport(checks=checks)

@@ -17,7 +17,9 @@ from .window import (
     Element,
     ProductWindow,
     WindowSubgroup,
+    combine,
     membership,
+    membership_coefficients,
     prime_power,
     section,
     torsion_subgroup,
@@ -173,15 +175,18 @@ def height(x: Element, g: WindowSubgroup, p: int) -> int:
     return h
 
 
-def _candidate_cosets(x: Element, g: WindowSubgroup, i: int, n_i: int, p: int):
-    """Elements of G_[1,n_i][p] with the same [1,i]-prefix as x, sorted."""
-    inner = section(g, (1, n_i))
-    if i + 1 <= n_i:
-        free = socle_subgroup(section(g, (i + 1, n_i)), p)
-        shifts = free.elements()
-    else:
-        shifts = (g.window.zero(),)
-    return inner, sorted((x + s for s in shifts), key=lambda e: e.flat)
+def height_layer(g: WindowSubgroup, p: int, h: int, interval=None) -> WindowSubgroup:
+    """L_h = G[p] ∩ p^h G: the socle elements of height at least h, inside ``interval``."""
+    return torsion_subgroup(g.scaled(p**h), p, interval)
+
+
+def height_layers(g: WindowSubgroup, p: int, interval=None) -> list[WindowSubgroup]:
+    """The layers L_0 ⊇ L_1 ⊇ ... inside ``interval``, for h < v where exp(G) = p^v.
+
+    No socle element has height v or more; layer 0, the socle, is always there.
+    """
+    v = p_valuation(g.exponent(), p)
+    return [height_layer(g, p, h, interval) for h in range(max(v, 1))]
 
 
 def max_height_prefix_witness(
@@ -199,6 +204,10 @@ def max_height_prefix_witness(
     When the prefix below i vanishes and some n_j < i is known (passed via
     ``n_sequence``), heights are additionally realized inside G_[j+1,n_i].
     Ties are broken by the lexicographically least residue vector.
+
+    The candidates of height at least h inside a section are the members of
+    its height-h layer with x's prefix: one lifts the prefix, and the least
+    is that lift's canonical representative modulo the layer's part past i.
     """
     p = x.order()
     _check_prime(p)
@@ -207,33 +216,43 @@ def max_height_prefix_witness(
         raise InputError("element does not belong to the subgroup")
     if any(c > n_i for c in x.support):
         raise InputError(f"element is not supported inside [1, {n_i}]")
-    if x.restrict((1, i)).is_zero():
+    prefix = x.restrict((1, i))
+    if prefix.is_zero():
         raise InputError("the [1,i]-prefix of the element must be nonzero")
     if not is_p_group(g, p):
         raise InputError("witness search requires a p-group")
 
     target = height(x, g, p)
-    inner, candidates = _candidate_cosets(x, g, i, n_i, p)
+    inner = section(g, (1, n_i))
 
     deep = None
     if n_sequence and i >= 2 and x.restrict((1, i - 1)).is_zero():
         js = [j for j, nj in n_sequence.items() if nj < i]
         if js:
-            j = max(js)
-            deep = section(g, (j + 1, n_i))
+            deep = section(g, (max(js) + 1, n_i))
+            # every candidate shares x's prefix, so lies in the deep section iff x does
+            if not deep.contains(x):
+                raise InputError("element does not belong to the subgroup")
 
-    scored = []
-    for cand in candidates:
-        h_inner = height(cand, inner, p) if not cand.is_zero() else -1
-        h_deep = height(cand, deep, p) if deep is not None and not cand.is_zero() else None
-        scored.append((h_inner, h_deep, cand))
-    best_h = max(s[0] for s in scored)
-    pool = [s for s in scored if s[0] == best_h]
+    def lift(sect: WindowSubgroup, h: int) -> Element | None:
+        layer = height_layer(sect, p, h)
+        coeffs = membership_coefficients(prefix, layer, interval=(1, i))
+        return None if coeffs is None else combine(layer, coeffs)
+
+    def least(sect: WindowSubgroup, h: int, z: Element) -> Element:
+        return height_layer(sect, p, h, (i + 1, n_i)).coset_representative(z) if i < n_i else z
+
+    # x lies in layer 0, so some layer has a lift
+    for best in reversed(range(p_valuation(inner.exponent(), p))):
+        z = lift(inner, best)
+        if z is not None:
+            break
     # prefer candidates realizing the ambient height, then the deep-section height
-    exact = [s for s in pool if s[0] == target and (s[1] is None or s[1] == target)]
-    if exact:
-        pool = exact
-    return min(pool, key=lambda s: s[2].flat)[2]
+    if best == target and deep is not None:
+        w = lift(deep, target)
+        if w is not None:
+            return least(deep, target, w)
+    return least(inner, best, z)
 
 
 @dataclass(frozen=True)

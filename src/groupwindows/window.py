@@ -468,18 +468,22 @@ def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
 def section(g: WindowSubgroup, interval) -> WindowSubgroup:
     """Members of the subgroup supported inside ``interval``, in the full window.
 
-    This is the kernel of the projection onto the complementary coordinates.
+    The window's exponent kills every member, so this is the torsion
+    subgroup for it: the kernel of the projection onto the other coordinates.
     """
-    s, e = g.window.flat_slice(interval)
-    return kernel_subgroup(
-        g, [1 if s <= f < e else m for f, m in enumerate(g.window.flat_orders)]
-    )
+    return torsion_subgroup(g, lcm(*g.window.flat_orders), interval)
 
 
-def torsion_subgroup(g: WindowSubgroup, q: int) -> WindowSubgroup:
-    """The subgroup G[q] = { x in G : q*x == 0 }."""
+def torsion_subgroup(g: WindowSubgroup, q: int, interval=None) -> WindowSubgroup:
+    """The members of G killed by q and supported inside ``interval``, in one kernel.
+
+    Without an interval this is G[q] = { x in G : q*x == 0 }.
+    """
+    s, e = (0, g.window.flat_length) if interval is None else g.window.flat_slice(interval)
     # q*x vanishes iff every flat residue is divisible by m_f / gcd(m_f, q)
-    return kernel_subgroup(g, [m // gcd(m, q) for m in g.window.flat_orders])
+    return kernel_subgroup(
+        g, [m // gcd(m, q) if s <= f < e else m for f, m in enumerate(g.window.flat_orders)]
+    )
 
 
 def least_outside(a: WindowSubgroup, b) -> Element | None:
@@ -504,30 +508,36 @@ def least_outside(a: WindowSubgroup, b) -> Element | None:
             powers.append(q)
             q *= p
     for q in sorted(powers):
-        aq, bq = torsion_subgroup(a, q), b_of(q)
-        if not all(bq.contains(x) for x in aq.canonical_generators):
-            return _least_in_difference(aq, bq)
+        x = least_in_difference(torsion_subgroup(a, q), b_of(q).contains)
+        if x is not None:
+            return x
     return None
 
 
-def _least_in_difference(a: WindowSubgroup, b: WindowSubgroup) -> Element:
-    """The lexicographically least member of ``a`` outside ``b``, given one exists.
+def least_in_difference(a: WindowSubgroup, inside) -> Element | None:
+    """The lexicographically least member of ``a`` for which ``inside`` is false.
 
-    Echelon row f has its pivot d_f at flat f, so the members agreeing before
-    f take the values r, r + d_f, ... there, with r the least.  Before the
-    last row outside b, every choice still leaves members outside, so r is
-    taken.  At that row the later rows lie in b: r is kept unless the member
-    so far lies in b, and then r + d_f gives one outside.  After it, r again.
+    ``inside`` is the membership test of a subgroup; None when all of ``a``
+    passes it.  Echelon row f has its pivot d_f at flat f, so the members
+    agreeing before f take the values r, r + d_f, ... there, with r the
+    least.  Before the last row outside, every choice still leaves members
+    outside, so r is taken.  At that row the later rows lie inside: r is kept
+    unless the member so far is inside, and then r + d_f gives one outside.
+    After it, r again.
     """
     window = a.window
     rows = a.basis
-    last = max(f for f, row in enumerate(rows) if not b.contains(window.from_flat(row)))
+    last = next(
+        (f for f in reversed(range(len(rows))) if not inside(window.from_flat(rows[f]))), None
+    )
+    if last is None:
+        return None
     vec = [0] * len(rows)
     for f, row in enumerate(rows):
         k = vec[f] // row[f]
         if k:
             vec = [x - k * y for x, y in zip(vec, row)]
-        if f == last and b.contains(window.from_flat(vec)):
+        if f == last and inside(window.from_flat(vec)):
             vec = [x + y for x, y in zip(vec, row)]
     return window.from_flat(vec)
 
@@ -575,12 +585,6 @@ def combine(g: WindowSubgroup, coefficients) -> Element:
         if c:
             acc = acc + gen.scale(c)
     return acc
-
-
-def sum_subgroups(a: WindowSubgroup, b: WindowSubgroup) -> WindowSubgroup:
-    if a.window != b.window:
-        raise InputError("cannot sum subgroups of different windows")
-    return WindowSubgroup(a.window, a.canonical_generators + b.canonical_generators)
 
 
 def span(window: ProductWindow, elements) -> WindowSubgroup:

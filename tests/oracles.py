@@ -3,7 +3,9 @@
 Everything here works on flat residue tuples and plain loops, sharing no code
 with the library's lattice machinery, so oracle agreement is meaningful.
 ``enumeration_reference`` hands the library's certificate decisions to these
-loops, so a certificate can be recomputed by listing elements.
+loops, so a certificate can be recomputed by listing elements, and
+``listing_reference`` does the same for the synthesis, verify and prefix
+witness decisions, which it takes by listing socle elements and their heights.
 """
 
 from contextlib import contextmanager
@@ -285,3 +287,261 @@ def _xgcd(a, b):
         x0, x1 = x1, x0 - k * x1
         y0, y1 = y1, y0 - k * y1
     return x0, y0, a
+
+
+# -- the listing reference for synthesis and verify -----------------------
+#
+# The block construction, clause (d) of the verify report and the prefix
+# witness as they were decided before the height filtration: by listing
+# every socle element of the arena and computing the height of each.
+
+
+def _listing_max_height_pick(candidates, g, inner_section, lift_section, p):
+    """First lex candidate of maximal ambient height with a realizable lift."""
+    from groupwindows.errors import InputError
+    from groupwindows.torsion import height
+    from groupwindows.window import solve_in_subgroup
+
+    scored = [(height(z, g, p), z) for z in candidates]
+    best = max(h for h, _ in scored)
+    pool = [z for h, z in scored if h == best]
+    for z in pool:
+        if height(z, inner_section, p) != best:
+            continue
+        y = solve_in_subgroup(lift_section, z, scale=p**best)
+        if y is not None:
+            return z, best, y, True
+    z = pool[0]
+    y = solve_in_subgroup(lift_section, z, scale=p**best)
+    if y is None:
+        y = solve_in_subgroup(g, z, scale=p**best)
+    if y is None:
+        raise InputError("height bookkeeping is inconsistent; no lift exists")
+    return z, best, y, False
+
+
+def listing_synthesize_p(g, p, certificate):
+    """``synthesis.synthesize_p``, picking each generator from the listed arena."""
+    from groupwindows.control import HOLDS, UNDETERMINED
+    from groupwindows.errors import InputError
+    from groupwindows.synthesis import Block, GeneratingSet, _prefix_socle_vector
+    from groupwindows.torsion import FpEchelon, is_p_group, p_valuation, socle_dimension, socle_subgroup
+    from groupwindows.window import project, section
+
+    if not is_p_group(g, p):
+        raise InputError("synthesis runs on p-groups; decompose mixed groups first")
+    if certificate.property != "order-controllable":
+        raise InputError("synthesis needs an order-controllability certificate")
+    if certificate.status not in (HOLDS, UNDETERMINED):
+        raise InputError("synthesis refused: the certificate reports failure")
+    n_window = g.window.length
+    determined = certificate.status == HOLDS
+    n_sequence = {i: certificate.indices.get(i, n_window) for i in range(1, n_window + 1)}
+    soc = socle_subgroup(g, p)
+    total_dim = socle_dimension(g, p)
+    if total_dim == 0:
+        return GeneratingSet(
+            prime=p, blocks=(), socle_elements=(), generators=(), heights=(),
+            n_sequence=n_sequence, determined=determined,
+        )
+
+    def projected_dim(d):
+        return p_valuation(project(soc, (1, d)).order(), p)
+
+    echelon = FpEchelon(p)
+    xs, ys, heights, blocks = [], [], [], []
+    d_prev = 0
+    while len(xs) < total_dim:
+        d_k = next((d for d in range(d_prev + 1, n_window + 1) if projected_dim(d) > len(xs)), None)
+        if d_k is None:
+            determined = False
+            break
+        target = projected_dim(d_k)
+        n_dk = n_sequence[d_k]
+        arena = socle_subgroup(section(g, (d_prev + 1, n_dk)), p)
+        inner = section(g, (1, n_dk))
+        below = [i for i, n in n_sequence.items() if n < d_k]
+        lift_lo = (max(below) + 1) if below else 1
+        lift_section = section(g, (lift_lo, n_dk)) if lift_lo > 1 else inner
+        added = 0
+        pool = [z for z in arena.elements() if not z.is_zero()]
+        while len(xs) < target:
+            candidates = [z for z in pool if any(echelon.reduce(_prefix_socle_vector(z, d_k, p)))]
+            if not candidates:
+                determined = False
+                break
+            z, h, y, clean = _listing_max_height_pick(candidates, g, inner, lift_section, p)
+            if not clean:
+                determined = False
+            echelon.add(_prefix_socle_vector(z, d_k, p))
+            xs.append(z)
+            ys.append(y)
+            heights.append(h)
+            added += 1
+        if added:
+            blocks.append(Block(d=d_k, size=added))
+        if len(xs) < target:
+            break
+        d_prev = d_k
+    return GeneratingSet(
+        prime=p, blocks=tuple(blocks), socle_elements=tuple(xs), generators=tuple(ys),
+        heights=tuple(heights), n_sequence=n_sequence, determined=determined,
+    )
+
+
+def listing_verify_block_properties(gs, g):
+    """``synthesis.verify_block_properties``, with clause (d) decided over the listed arena."""
+    from groupwindows.synthesis import BlockReport
+    from groupwindows.torsion import FpEchelon, height, socle_dimension, socle_subgroup, socle_vector
+    from groupwindows.window import project, section, span
+
+    p = gs.prime
+    checks = {name: (True, "") for name in ("a", "b", "c", "d", "e", "f", "eq1")}
+    soc = socle_subgroup(g, p)
+    counts = gs.block_counts()
+    n_window = g.window.length
+
+    def put(name, ok, detail=""):
+        if not ok:
+            old_ok, old_detail = checks[name]
+            checks[name] = (False, detail if old_ok else old_detail)
+
+    d_prev = 0
+    for k, block in enumerate(gs.blocks, start=1):
+        d_k = block.d
+        lo, hi = counts[k - 1], counts[k]
+        bk = gs.socle_elements[lo:hi]
+        n_dk = gs.n_sequence.get(d_k, n_window)
+
+        ech = FpEchelon(p)
+        ok_a = all(ech.add(socle_vector(x.restrict((d_prev + 1, d_k)), p)) for x in bk)
+        put("a", ok_a, f"block {k}: projections on ({d_prev}, {d_k}] dependent")
+
+        seen = [x.restrict((d_prev + 1, d_k)) for x in gs.socle_elements[:hi]]
+        sub = g.window.subwindow((d_prev + 1, d_k))
+        ok_b = span(sub, seen) == project(soc, (d_prev + 1, d_k))
+        put("b", ok_b, f"block {k}: projected socle not covered")
+
+        pref = [x.restrict((1, d_k)) for x in gs.socle_elements[:hi]]
+        subw = g.window.subwindow((1, d_k))
+        spans = span(subw, pref) == project(soc, (1, d_k))
+        ech = FpEchelon(p)
+        indep = all(ech.add(socle_vector(x, p)) for x in pref)
+        put("c", spans and indep, f"block {k}: prefix projections not a basis")
+        put("eq1", spans, f"block {k}: projected socle differs from projected span")
+
+        arena = socle_subgroup(section(g, (d_prev + 1, n_dk)), p)
+        ech = FpEchelon(p)
+        for x in gs.socle_elements[:lo]:
+            ech.add(socle_vector(x.restrict((1, d_k)), p))
+        heights = {}
+        prev_h = None
+        for j in range(lo, hi):
+            x = gs.socle_elements[j]
+            ok_member = arena.contains(x) and x.order() == p
+            h = height(x, g, p) if ok_member else -1
+            candidates = [
+                z for z in arena.elements()
+                if not z.is_zero() and any(ech.reduce(socle_vector(z.restrict((1, d_k)), p)))
+            ]
+            for z in candidates:
+                if z.flat not in heights:
+                    heights[z.flat] = height(z, g, p)
+            best = max((heights[z.flat] for z in candidates), default=-1)
+            ok_mono = prev_h is None or h <= prev_h
+            prev_h = h
+            ech.add(socle_vector(x.restrict((1, d_k)), p))
+            ok_d = ok_member and h == gs.heights[j] and h == best and ok_mono
+            put("d", ok_d, f"generator {j + 1}: membership/height/maximality violated")
+
+        inner = section(g, (1, n_dk))
+        for j in range(lo, hi):
+            x, y, h = gs.socle_elements[j], gs.generators[j], gs.heights[j]
+            ok_e = (
+                y.scale(p**h).flat == x.flat
+                and inner.contains(y)
+                and all(gs.n_sequence.get(i, n_window) >= d_k for i in y.support)
+            )
+            put("e", ok_e, f"generator {j + 1}: lift clause violated")
+        d_prev = d_k
+
+    if gs.blocks:
+        d_last = gs.blocks[-1].d
+        ech = FpEchelon(p)
+        indep_all = all(ech.add(socle_vector(x, p)) for x in gs.socle_elements)
+        if d_last < n_window:
+            tail = socle_subgroup(section(g, (d_last + 1, n_window)), p)
+        else:
+            tail = g.window.trivial_subgroup()
+        covers = span(g.window, list(gs.socle_elements) + list(tail.canonical_generators)) == soc
+        tail_dim = socle_dimension(tail, p) if not tail.is_trivial() else 0
+        split = len(gs.socle_elements) + tail_dim == socle_dimension(g, p)
+        put("f", indep_all and covers and split, "socle does not split as blocks plus tail")
+    return BlockReport(checks=checks)
+
+
+def listing_max_height_prefix_witness(x, i, g, n_i, n_sequence=None):
+    """``torsion.max_height_prefix_witness``, scoring every listed candidate by its heights."""
+    from groupwindows.errors import InputError
+    from groupwindows.torsion import _check_prime, height, is_p_group, socle_subgroup
+    from groupwindows.window import section
+
+    p = x.order()
+    _check_prime(p)
+    g.window.check_interval((i, n_i))
+    if not g.contains(x):
+        raise InputError("element does not belong to the subgroup")
+    if any(c > n_i for c in x.support):
+        raise InputError(f"element is not supported inside [1, {n_i}]")
+    if x.restrict((1, i)).is_zero():
+        raise InputError("the [1,i]-prefix of the element must be nonzero")
+    if not is_p_group(g, p):
+        raise InputError("witness search requires a p-group")
+
+    target = height(x, g, p)
+    inner = section(g, (1, n_i))
+    if i + 1 <= n_i:
+        shifts = socle_subgroup(section(g, (i + 1, n_i)), p).elements()
+    else:
+        shifts = (g.window.zero(),)
+    candidates = sorted((x + s for s in shifts), key=lambda e: e.flat)
+    deep = None
+    if n_sequence and i >= 2 and x.restrict((1, i - 1)).is_zero():
+        js = [j for j, nj in n_sequence.items() if nj < i]
+        if js:
+            deep = section(g, (max(js) + 1, n_i))
+    scored = []
+    for cand in candidates:
+        h_inner = height(cand, inner, p) if not cand.is_zero() else -1
+        h_deep = height(cand, deep, p) if deep is not None and not cand.is_zero() else None
+        scored.append((h_inner, h_deep, cand))
+    best_h = max(s[0] for s in scored)
+    pool = [s for s in scored if s[0] == best_h]
+    exact = [s for s in pool if s[0] == target and (s[1] is None or s[1] == target)]
+    return min(exact or pool, key=lambda s: s[2].flat)[2]
+
+
+@contextmanager
+def listing_reference():
+    """Synthesize, verify and pick prefix witnesses by listing socle elements.
+
+    Inside the block, ``synthesis.synthesize_p``, ``verify_block_properties``
+    (in ``synthesis`` and in ``cli``) and ``torsion.max_height_prefix_witness``
+    are the listing versions above, as they were before the height filtration.
+    """
+    from groupwindows import cli, synthesis, torsion
+
+    swaps = [
+        (synthesis, "synthesize_p", listing_synthesize_p),
+        (synthesis, "verify_block_properties", listing_verify_block_properties),
+        (cli, "verify_block_properties", listing_verify_block_properties),
+        (torsion, "max_height_prefix_witness", listing_max_height_prefix_witness),
+    ]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in swaps]
+    for module, name, fn in swaps:
+        setattr(module, name, fn)
+    try:
+        yield
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)

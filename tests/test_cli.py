@@ -315,3 +315,60 @@ def test_check_lists_no_elements(template_path, tmp_path, monkeypatch):
         assert main(argv + ["--out", str(out)]) == code, prop
         cert = json.loads(out.read_text())
         assert ("witness" in cert) == (code == 1)
+
+
+def test_synthesize_and_verify_list_no_elements(template_path, tmp_path, monkeypatch):
+    # generators are picked and re-checked from the height filtration, so
+    # neither command, nor the prefix witness, lists elements
+    from groupwindows import max_height_prefix_witness, section, socle
+
+    closure = tmp_path / "c12.json"
+    assert main(["unroll", "--input", template_path, "--window", "12", "--closure", "--out", str(closure)]) == 0
+    mixed = write(tmp_path, "mixed.json", {
+        "components": [[2, 3], [4], [9], [2, 3]],
+        "generators": [[[1, 1], [2], [0], [0, 0]], [[0, 0], [1], [3], [0, 0]], [[0, 0], [0], [1], [1, 2]]],
+    })
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command listed the elements of a subgroup")
+
+    monkeypatch.setattr(WindowSubgroup, "elements", refuse)
+    for k, group in enumerate((str(closure), mixed)):
+        out, report = tmp_path / f"enc{k}.json", tmp_path / f"report{k}.json"
+        assert main(["synthesize", "--input", group, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["primes"]) == k + 1
+        assert main(["verify", "--input", group, "--encoder", str(out), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["pass"] is True
+
+    g = fileio.load_group_file(str(closure))
+    x = socle(section(g, (1, 3)), 2).basis[0]
+    assert max_height_prefix_witness(x, 1, g, 3).restrict((1, 1)) == x.restrict((1, 1))
+
+
+def test_synthesize_large_arena_exits_0(tmp_path):
+    # one coordinate of 21 Z(2) factors: the arena has 2^21 elements, more
+    # than WindowSubgroup.elements lists, and no command lists it
+    gens = [[[int(k == f) for k in range(21)], [0]] for f in range(21)] + [[[0] * 21, [1]]]
+    path = write(tmp_path, "big.json", {"components": [[2] * 21, [4]], "generators": gens})
+    out, report = tmp_path / "enc.json", tmp_path / "report.json"
+    assert main(["synthesize", "--input", path, "--out", str(out)]) == 0
+    manifest = json.loads(out.read_text())
+    assert manifest["order"] == 2**23 and manifest["verdicts"]["isomorphic_encoder"] is True
+    assert main(["verify", "--input", path, "--encoder", str(out), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["pass"] is True
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+
+    def build():
+        built.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "_parser", None)
+    path = write(tmp_path, "g.json", {"components": [[2]], "generators": [[[1]]]})
+    for _ in range(2):
+        assert main(["decompose", "--input", path, "--out", str(tmp_path / "d.json")]) == 0
+    assert len(built) == 1

@@ -1,7 +1,9 @@
 """Differential tests of the shared primitives against brute force.
 
-``kernel_subgroup`` is checked against filtering the exhaustive span,
-``least_outside`` against the least listed member outside, ``FpEchelon``
+``kernel_subgroup``, ``torsion_subgroup`` over an interval and
+``height_layer`` are checked against filtering the exhaustive span,
+``least_outside`` and ``least_in_difference`` against the least listed
+member outside, ``FpEchelon``
 against exhaustive F_p spans, and ``_socle_solve`` by round trips through
 the socle elements it solves over.
 """
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from groupwindows import GeneratingSet, WindowSubgroup
 from groupwindows.synthesis import _socle_solve
 from groupwindows.torsion import FpEchelon
-from groupwindows.window import kernel_subgroup, least_outside, torsion_subgroup
+from groupwindows.torsion import height_layer
+from groupwindows.window import kernel_subgroup, least_in_difference, least_outside, torsion_subgroup
 
 from conftest import window_of
 import oracles
@@ -86,6 +89,37 @@ def test_kernel_subgroup_d_torsion(g):
         assert _flats(kernel_subgroup(g, t)) == expected
 
 
+@SETTINGS
+@given(small_groups(), st.data())
+def test_torsion_subgroup_over_an_interval(g, data):
+    n = g.window.length
+    lo = data.draw(st.integers(1, n))
+    hi = data.draw(st.integers(lo, n))
+    mods = g.window.flat_orders
+    members = oracles.naive_span([x.flat for x in g.generators], mods)
+    inside = oracles.naive_section(members, g.window.coord_slices, (lo, hi))
+    for q in _divisors(g.exponent()):
+        expected = {v for v in inside if all((q * r) % m == 0 for r, m in zip(v, mods))}
+        assert _flats(torsion_subgroup(g, q, (lo, hi))) == expected
+
+
+@SETTINGS
+@given(small_groups())
+def test_height_layers_are_socle_elements_of_height_at_least_h(g):
+    mods = g.window.flat_orders
+    members = oracles.naive_span([x.flat for x in g.generators], mods)
+    for p in g.window.primes():
+        e = oracles.naive_exponent(members, mods)
+        while e % p == 0:
+            e //= p
+        if e != 1:  # heights are defined inside p-groups
+            continue
+        socle = oracles.naive_socle(members, mods, p)
+        for h in range(3):
+            expected = {v for v in socle if not any(v) or oracles.naive_height(v, members, mods, p) >= h}
+            assert _flats(height_layer(g, p, h)) == expected
+
+
 @st.composite
 def subgroup_pairs(draw):
     """Two or three subgroups of one window: a, b, and c for a q-dependent b."""
@@ -128,6 +162,20 @@ def test_least_outside_matches_listing(groups):
     assert (got is None) == (want is None)
     if want is not None:
         assert got.flat == want
+
+
+@SETTINGS
+@given(subgroup_pairs())
+def test_least_in_difference_is_none_exactly_when_inside(groups):
+    a, b, _ = groups
+    mods = a.window.flat_orders
+    a_set = oracles.naive_span([x.flat for x in a.generators], mods)
+    b_set = oracles.naive_span([x.flat for x in b.generators], mods)
+    got = least_in_difference(a, b.contains)
+    if a_set <= b_set:
+        assert got is None
+    else:
+        assert got is not None and got.flat == min(a_set - b_set)
 
 
 def _pad(v, width):
