@@ -44,16 +44,27 @@ def _load_input(path: str):
     return "group", fileio.parse_group(payload, where=path), payload
 
 
+def _emit(out, payload):
+    """Write ``payload`` to the ``--out`` path, or print its canonical JSON."""
+    if out:
+        fileio.write_json(out, payload)
+    else:
+        sys.stdout.write(fileio.canonical_json_bytes(payload).decode())
+
+
+def _check_window(group, window):
+    if window is not None and window != group.window.length:
+        raise InputError(
+            f"--window {window} does not match the group file's window {group.window.length}"
+        )
+
+
 def _materialize(kind, obj, window, closure):
     """Turn a parsed input into the group the command should operate on."""
     if kind == "group":
         if closure:
             raise InputError("--closure only applies to template inputs")
-        if window is not None and window != obj.window.length:
-            raise InputError(
-                f"--window {window} does not match the group file's window "
-                f"{obj.window.length}"
-            )
+        _check_window(obj, window)
         return obj, ()
     if window is None:
         raise InputError("template inputs need --window")
@@ -63,17 +74,10 @@ def _materialize(kind, obj, window, closure):
 
 def cmd_check(args) -> int:
     kind, obj, payload = _load_input(args.input)
-    if kind == "group" and args.window is not None and args.window != obj.window.length:
-        raise InputError(
-            f"--window {args.window} does not match the group file's window "
-            f"{obj.window.length}"
-        )
+    if kind == "group":
+        _check_window(obj, args.window)
     cert = certify(obj, args.property, window=args.window, max_index=args.max_index)
-    out = fileio.certificate_to_json(cert, input_sha256=fileio.sha256_of(payload))
-    if args.out:
-        fileio.write_json(args.out, out)
-    else:
-        sys.stdout.write(fileio.canonical_json_bytes(out).decode())
+    _emit(args.out, fileio.certificate_to_json(cert, input_sha256=fileio.sha256_of(payload)))
     print(f"{args.property}: {cert.status}", file=sys.stderr)
     return _STATUS_EXIT[cert.status]
 
@@ -85,11 +89,7 @@ def cmd_unroll(args) -> int:
     if args.window is None:
         raise InputError("unroll needs --window")
     result = closure_window(obj, args.window) if args.closure else unroll_template(obj, args.window)
-    out = fileio.group_to_json(result.group, skipped=result.skipped)
-    if args.out:
-        fileio.write_json(args.out, out)
-    else:
-        sys.stdout.write(fileio.canonical_json_bytes(out).decode())
+    _emit(args.out, fileio.group_to_json(result.group, skipped=result.skipped))
     if result.skipped:
         print(f"skipped {len(result.skipped)} pattern instance(s)", file=sys.stderr)
     return EXIT_HOLDS
@@ -113,10 +113,7 @@ def cmd_decompose(args) -> int:
         "primes": list(dec.primes),
         "parts": parts,
     }
-    if args.out:
-        fileio.write_json(args.out, out)
-    else:
-        sys.stdout.write(fileio.canonical_json_bytes(out).decode())
+    _emit(args.out, out)
     return EXIT_HOLDS
 
 
@@ -241,10 +238,7 @@ def cmd_verify(args) -> int:
     }
     all_ok = all_ok and combined_ok
     report["pass"] = all_ok
-    if args.out:
-        fileio.write_json(args.out, report)
-    else:
-        sys.stdout.write(fileio.canonical_json_bytes(report).decode())
+    _emit(args.out, report)
     print(f"verify: {'pass' if all_ok else 'fail'}", file=sys.stderr)
     return EXIT_HOLDS if all_ok else EXIT_FAILS
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Optional, Union
 
 from .errors import InputError
@@ -27,6 +28,7 @@ from .window import (
     Element,
     WindowSubgroup,
     combine,
+    kernel_rows,
     least_outside,
     membership_coefficients,
     project,
@@ -105,23 +107,14 @@ class _Scans:
     def torsion_rows(self, q: int) -> tuple[list, list]:
         """Echelon rows of G[q] by last nonzero flat, and lifts by first one.
 
-        One echelon basis of the pairs (q*x, x), x in G, modulo the moduli in
-        both halves.  Its rows with a zero first half span G[q].  The others
-        are (q*y, y) with the first half's pivot at flat f, so the y with
-        f >= e lift the members of qG vanishing before flat e: G[q] and those
-        y generate the members of G that q sends there.
+        q*x vanishes at flat f exactly when t_f = m_f / gcd(m_f, q) divides
+        x_f, so the kernel rows for these t span G[q], and with the lifts
+        from flat e on they generate the members of G that q sends to
+        elements vanishing before flat e.
         """
         if q not in self._torsion:
-            F = self.g.window.flat_length
-            zero = [0] * F
-            rel = [[m if k == f else 0 for k in range(F)] for f, m in enumerate(self.g.window.flat_orders)]
-            rows = [[q * a for a in b] + list(b) for b in self.g.basis]
-            rows += [r + zero for r in rel] + [zero + r for r in rel]
-            ech = row_lattice_basis(rows, 2 * F)
-            self._torsion[q] = (
-                _ending_rows([r[F:] for r in ech[F:]]),
-                [r[F:] for r in ech[:F]],
-            )
+            kernel, lifts = kernel_rows(self.g, [m // gcd(m, q) for m in self.g.window.flat_orders])
+            self._torsion[q] = (_ending_rows(kernel), lifts)
         return self._torsion[q]
 
     def order_demand(self, i: int, n: int, q: int) -> WindowSubgroup:
@@ -256,6 +249,11 @@ def _controllability_witness(scans: _Scans, i: int, cap: int):
     return lift, {"i": i, "n": cap, "projection_order": prefix.order()}
 
 
+def _check_max_index(max_index: Optional[int]):
+    if max_index is not None and max_index < 1:
+        raise InputError(f"max_index must be at least 1, got {max_index}")
+
+
 def _resolve_margin(g: WindowSubgroup, template: Optional[TemplateSpec]) -> int:
     margins = [g.presentation_margin()]
     if template is not None:
@@ -296,7 +294,8 @@ def _plan(prop: str, n_window: int, margin: int, max_index: Optional[int]):
     but only vouches for prefix depths inside the trusted strip.
     """
     if margin == 0:
-        # only the trivial group presents zero-width generators
+        # the trivial group (only it presents zero-width generators), or a
+        # group certified as its own universe
         trusted = n_window if max_index is None else min(max_index, n_window)
         return trusted, n_window
     trusted = n_window - margin
@@ -332,6 +331,7 @@ def _controllability_certificate(
     window: Optional[int] = None,
     max_index: Optional[int] = None,
 ) -> Certificate:
+    _check_max_index(max_index)
     order = prop == "order-controllable"
     template = source if isinstance(source, TemplateSpec) else None
     if template is not None:
@@ -347,23 +347,16 @@ def _controllability_certificate(
         window = g.window.length
 
     margin = _resolve_margin(g, template)
+    # when the narrowest presentation spans the whole window there is no
+    # family to extrapolate to; certify the group as its own universe
     universe_mode = (
         template is None
         and prop in ("controllable", "order-controllable")
         and 0 < margin >= g.window.length
     )
-    if universe_mode:
-        # the narrowest presentation spans the whole window, so there is no
-        # family to extrapolate to; certify the group as its own universe
-        n = g.window.length
-        testable = n if max_index is None else min(max_index, n)
-        indices, failure = _engine(g, order=order, max_index=testable, cap=n)
-        cap = n
-        status = FAILS if failure is not None else HOLDS
-    else:
-        indices, failure, cap, testable, status = _certify_on_group(
-            g, prop, order=order, margin=margin, max_index=max_index
-        )
+    indices, failure, cap, testable, status = _certify_on_group(
+        g, prop, order=order, margin=0 if universe_mode else margin, max_index=max_index
+    )
 
     stabilization: dict[int, bool] = {}
     notes_extra: dict = {}
@@ -457,6 +450,7 @@ def order_controllability_certificate(
 
 def is_rectangular(g: WindowSubgroup, *, max_index: Optional[int] = None) -> Certificate:
     """Holds when the subgroup is the full product of its coordinate projections."""
+    _check_max_index(max_index)
     n = g.window.length
     embedded = []
     for i in range(1, n + 1):
@@ -606,6 +600,7 @@ def certify(
     """Dispatch a property name to its certification routine."""
     if prop not in PROPERTIES:
         raise InputError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    _check_max_index(max_index)
     if prop == "rectangular":
         if isinstance(source, TemplateSpec):
             if window is None:

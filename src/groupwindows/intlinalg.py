@@ -10,10 +10,15 @@ The three workhorses are
 * ``smith_normal_form``: U * M * V = D with U, V unimodular and D diagonal
   with a divisibility chain,
 * ``row_lattice_basis``: the canonical echelon basis of an integer row
-  lattice (used for subgroup canonical forms and membership),
+  lattice (used for subgroup canonical forms, membership and every kernel
+  subgroup, see ``window.kernel_rows``),
 * ``solve_mixed_modulus``: solve A x = b componentwise modulo a vector of
   moduli, the lattice form of "is this element a combination of these
   generators".
+
+Inside the library the Smith normal form serves only ``solve_mixed_modulus``.
+``left_kernel_basis`` stays a public function of this module (the
+benchmark's tracer wraps it by name), but no library code calls it.
 """
 
 from __future__ import annotations

@@ -156,13 +156,13 @@ def synthesize_p(
     while len(xs) < total_dim:
         d_k = None
         for d in range(d_prev + 1, n_window + 1):
-            if projected_dim(d) > len(xs):
+            target = projected_dim(d)
+            if target > len(xs):
                 d_k = d
                 break
         if d_k is None:
             determined = False
             break
-        target = projected_dim(d_k)
         n_dk = n_sequence[d_k]
         arena = (d_prev + 1, n_dk)  # where the block's socle elements are supported
         layers = height_layers(g, p, arena)
@@ -291,11 +291,10 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
             put("d", ok_d, f"generator {j + 1}: membership/height/maximality violated" if not ok_d else "")
 
         # (e) lifts: x = p^h y, y supported in [1, n_{d_k}], vanishing conditions
-        inner = section(g, (1, n_dk))
         for j in range(lo, hi):
             x, y, h = gs.socle_elements[j], gs.generators[j], gs.heights[j]
             ok_divide = y.scale(p**h).flat == x.flat
-            ok_support = inner.contains(y)
+            ok_support = g.contains(y) and all(i <= n_dk for i in y.support)
             ok_vanish = all(
                 gs.n_sequence.get(i, n_window) >= d_k for i in y.support
             )

@@ -7,6 +7,9 @@ product of cyclic groups Z(m_1) x ... x Z(m_F).  Subgroups are presented by
 generators and identified by a canonical lattice basis: the generators plus
 the modulus relations span an integer lattice of full rank F, and the
 canonical echelon basis of that lattice is the subgroup's identity card.
+Kernels (sections, torsion subgroups, height layers) come from one echelon
+basis of pairs as well, ``kernel_rows``; the Smith normal form serves only
+the coefficient solver behind ``membership_coefficients``.
 
 All coordinate indices in the public interface are 1-based and intervals are
 inclusive, matching the certificate and file formats.
@@ -19,7 +22,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 from .errors import InputError, WindowScaleError
-from .intlinalg import IntMatrix, left_kernel_basis, row_lattice_basis, solve_mixed_modulus
+from .intlinalg import IntMatrix, row_lattice_basis, solve_mixed_modulus
 
 # Exact element scans refuse beyond this many elements.
 ENUM_LIMIT = 1 << 20
@@ -437,32 +440,27 @@ def project(g: WindowSubgroup, interval) -> WindowSubgroup:
     return WindowSubgroup(sub, gens)
 
 
-def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
-    """The subgroup { x in G : t_f divides x_f at every flat factor f }.
+def kernel_rows(g: WindowSubgroup, t) -> tuple[list, list]:
+    """Echelon rows of { x in G : t_f divides x_f at every flat f }, and lifts.
 
-    One SNF left kernel of the canonical basis against the moduli t_f, taken
-    over the columns with t_f != 1; each kernel vector combines basis rows
-    into a member.
+    One canonical echelon basis of the pairs (x mod t, x), x in G: the rows
+    (b | b) over G's basis and the relations (t_f e_f | 0).  Its last F rows
+    have a zero first half; their second halves are the canonical basis of
+    the kernel.  Row f of the first F rows has its first-half pivot at flat
+    f, so its second half is a member y with t_f' dividing y_f' before f: the
+    kernel and the lifts from flat e on span the members x with t_f | x_f
+    for every f < e.  Returns (kernel rows, lifts), each F rows of width F.
     """
     F = g.window.flat_length
-    cols = [f for f in range(F) if t[f] != 1]
-    if not cols:
-        return WindowSubgroup(g.window, g.canonical_generators)
-    basis = g.basis
-    rows = [[basis[i][f] for f in cols] for i in range(F)]
-    for j, f in enumerate(cols):
-        row = [0] * len(cols)
-        row[j] = t[f]
-        rows.append(row)
-    gens = []
-    for v in left_kernel_basis(IntMatrix.from_rows(rows)):
-        flat = [0] * F
-        for i in range(F):
-            c = v[i]
-            if c:
-                flat = [a + c * b for a, b in zip(flat, basis[i])]
-        gens.append(g.window.from_flat(flat))
-    return WindowSubgroup(g.window, gens)
+    rows = [list(b) * 2 for b in g.basis]
+    rows += [[tf if k == f else 0 for k in range(2 * F)] for f, tf in enumerate(t)]
+    ech = row_lattice_basis(rows, 2 * F)
+    return [r[F:] for r in ech[F:]], [r[F:] for r in ech[:F]]
+
+
+def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
+    """The subgroup { x in G : t_f divides x_f at every flat factor f }."""
+    return WindowSubgroup(g.window, [g.window.from_flat(r) for r in kernel_rows(g, t)[0]])
 
 
 def section(g: WindowSubgroup, interval) -> WindowSubgroup:

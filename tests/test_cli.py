@@ -75,6 +75,20 @@ def test_check_margin_consumes_window(template_path, tmp_path):
     assert code == 2
 
 
+def test_check_max_index_below_one_exits_3(template_path, tmp_path, capsys):
+    # one input certified under the margin policy, one whose generator spans
+    # the whole window and so is certified as its own universe
+    wide = write(tmp_path, "wide.json", {"components": [[2], [2]], "generators": [[[1], [1]]]})
+    inputs = (["--input", template_path, "--window", "4"], ["--input", wide])
+    for source in inputs:
+        for prop in ("controllable", "order-controllable", "rectangular", "weakly-observable"):
+            for bad in ("0", "-2"):
+                code = main(["check", *source, "--property", prop, "--max-index", bad])
+                assert code == 3
+                assert "max_index must be at least 1" in capsys.readouterr().err
+    assert main(["check", "--input", wide, "--property", "controllable", "--max-index", "1"]) == 0
+
+
 def test_check_malformed_residue_exits_3(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"components": [[4]], "generators": [[[4]]]})
     code = main(["check", "--input", path, "--property", "rectangular"])

@@ -64,6 +64,22 @@ def test_index_argument_validation():
         order_controllability_index(full, 1, 3)
 
 
+def test_certificates_reject_max_index_below_one():
+    full = window_of([4], [4]).full_subgroup()
+    for fn in (
+        is_weakly_controllable,
+        controllability_certificate,
+        order_controllability_certificate,
+        is_rectangular,
+    ):
+        for bad in (0, -1):
+            with pytest.raises(InputError):
+                fn(full, max_index=bad)
+    for prop in ("weakly-observable", "controllable"):
+        with pytest.raises(InputError):
+            certify(full, prop, max_index=0)
+
+
 def test_order_controllability_index_rectangular():
     w = window_of([4], [2], [4])
     full = w.full_subgroup()

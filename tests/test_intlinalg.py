@@ -5,6 +5,7 @@ from math import gcd, lcm, prod
 import pytest
 
 from groupwindows import IntMatrix, smith_normal_form, solve_mixed_modulus
+from groupwindows.intlinalg import left_kernel_basis, row_lattice_basis
 from groupwindows.errors import InputError
 
 
@@ -113,6 +114,27 @@ def test_snf_matches_determinantal_divisor_oracle():
                 assert g == 0
                 break
             assert e == g
+
+
+def test_left_kernel_basis_against_brute_force():
+    # every small integer v with v*M == 0 is a combination of the basis, and
+    # the basis is a saturated lattice of rank rows - rank(M): the whole kernel
+    rng = random.Random(5)
+    for _ in range(120):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+        m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+        basis = left_kernel_basis(m)
+        rank = sum(1 for d in determinantal_divisors(m) if d)
+        assert len(basis) == rows - rank
+        for v in basis:
+            assert all(sum(a * b for a, b in zip(v, m.column(j))) == 0 for j in range(cols))
+        if not basis:
+            continue
+        assert determinantal_divisors(IntMatrix.from_rows(basis))[-1] == 1
+        canon = row_lattice_basis(basis, rows)
+        for v in iproduct(range(-2, 3), repeat=rows):
+            if all(sum(a * b for a, b in zip(v, m.column(j))) == 0 for j in range(cols)):
+                assert row_lattice_basis([*basis, v], rows) == canon
 
 
 def test_solve_trivial_and_obstructed():
