@@ -100,9 +100,8 @@ class _Scans:
         """The span on [1, i] of ``extra`` and of the rows ending inside [1, n]."""
         window = self.g.window
         width = window.flat_slice((1, i))[1]
-        sub = window.subwindow((1, i))
-        ending = rows[: window.flat_slice((1, n))[1]]
-        return WindowSubgroup(sub, [sub.from_flat(r[:width]) for r in [*ending, *extra]])
+        rows = [*rows[: window.flat_slice((1, n))[1]], *extra]
+        return WindowSubgroup.from_rows(window.subwindow((1, i)), [r[:width] for r in rows])
 
     def torsion_rows(self, q: int) -> tuple[list, list]:
         """Echelon rows of G[q] by last nonzero flat, and lifts by first one.

@@ -78,27 +78,25 @@ def _parse_element(raw, window: ProductWindow, where: str) -> Element:
         raise InputError(
             f"{where}: expected residues for {window.length} coordinates, got {len(rows)}"
         )
-    residues = []
+    flat = []
     for i, coord in enumerate(rows, start=1):
         coord = _expect_list(coord, f"{where}[{i - 1}]")
-        comp = window.components[i - 1]
-        if len(coord) != len(comp.factor_orders):
+        orders = window.components[i - 1].factor_orders
+        if len(coord) != len(orders):
             raise InputError(
-                f"{where}[{i - 1}]: coordinate {i} has {len(comp.factor_orders)} "
+                f"{where}[{i - 1}]: coordinate {i} has {len(orders)} "
                 f"factors, got {len(coord)} residues"
             )
-        checked = []
-        for j, r in enumerate(coord):
+        for j, (r, m) in enumerate(zip(coord, orders)):
             r = _expect_int(r, f"{where}[{i - 1}][{j}]")
-            m = comp.factor_orders[j]
             if not (0 <= r < m):
                 raise InputError(
                     f"{where}[{i - 1}][{j}]: residue {r} outside [0, {m}) "
                     f"for the order-{m} factor at coordinate {i}"
                 )
-            checked.append(r)
-        residues.append(checked)
-    return window.element(residues)
+            flat.append(r)
+    # every residue is checked in range, so the element is built as is
+    return Element(window, tuple(flat))
 
 
 def element_to_json(x: Element) -> list:

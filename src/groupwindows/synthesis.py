@@ -36,6 +36,7 @@ from .errors import InputError, UndeterminedAtWindowError
 from .torsion import (
     FpEchelon,
     PrimaryDecomposition,
+    _socle_coordinates,
     height_layer,
     height_layers,
     is_p_group,
@@ -97,15 +98,17 @@ def _prefix_socle_vector(x: Element, d: int, p: int):
     return socle_vector(x.restrict((1, d)), p)
 
 
-def _prefix_in_span(echelon: FpEchelon, d: int, p: int):
-    """The test whether a socle element's [1, d]-prefix lies in the echelon's span."""
-    return lambda z: not any(echelon.reduce(_prefix_socle_vector(z, d, p)))
+def _prefix_in_span(echelon: FpEchelon, window, d: int, p: int):
+    """The test whether a socle row's [1, d]-prefix lies in the echelon's span."""
+    width = window.flat_slice((1, d))[1]
+    halves = [(f, half) for f, half in _socle_coordinates(window, p) if f < width]
+    return lambda row: not any(echelon.reduce([row[f] // half for f, half in halves]))
 
 
 def _max_height(layers, inside) -> int:
-    """The largest h with a layer generator outside ``inside`` (a subgroup test), or -1."""
+    """The largest h with a layer row outside ``inside`` (a subgroup test on rows), or -1."""
     return next(
-        (h for h in reversed(range(len(layers))) if not all(map(inside, layers[h].canonical_generators))),
+        (h for h in reversed(range(len(layers))) if not all(map(inside, layers[h].canonical_rows))),
         -1,
     )
 
@@ -168,7 +171,7 @@ def synthesize_p(
         layers = height_layers(g, p, arena)
         below = [i for i, n in n_sequence.items() if n < d_k]
         lift_section = section(g, ((max(below) + 1) if below else 1, n_dk))
-        inside = _prefix_in_span(echelon, d_k, p)
+        inside = _prefix_in_span(echelon, g.window, d_k, p)
         added = 0
         while len(xs) < target:
             # the candidates are the arena members with a prefix outside the span
@@ -226,20 +229,14 @@ class BlockReport:
 def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport:
     """Re-check every structural clause of a generating set against its group."""
     p = gs.prime
-    checks: dict[str, tuple[bool, str]] = {}
+    checks = dict.fromkeys(("a", "b", "c", "d", "e", "f", "eq1"), (True, ""))
     soc = socle_subgroup(g, p)
     counts = gs.block_counts()
     n_window = g.window.length
 
-    for name in ("a", "b", "c", "d", "e", "f", "eq1"):
-        checks[name] = (True, "")
-
     def put(name: str, ok: bool, detail: str = ""):
-        old_ok, old_detail = checks[name]
-        if not ok and old_ok:
+        if not ok and checks[name][0]:  # a clause keeps its first failure's detail
             checks[name] = (False, detail)
-        elif not ok:
-            checks[name] = (False, old_detail)
 
     d_prev = 0
     for k, block in enumerate(gs.blocks, start=1):
@@ -273,7 +270,7 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         ech = FpEchelon(p)
         for x in gs.socle_elements[:lo]:
             ech.add(_prefix_socle_vector(x, d_k, p))
-        inside = _prefix_in_span(ech, d_k, p)
+        inside = _prefix_in_span(ech, g.window, d_k, p)
         prev_h = None
         for j in range(lo, hi):
             x = gs.socle_elements[j]

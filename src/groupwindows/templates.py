@@ -122,13 +122,13 @@ def unroll_template(template: TemplateSpec, n: int) -> UnrollResult:
     coordinate and pattern index.  Instances whose support does not fit in
     [1, n] are skipped and recorded.
     """
+    window = template.window(n)
     for fg in template.fixed_generators:
         if fg.max_coordinate() > n:
             raise InputError(
                 f"window length {n} is smaller than a fixed generator support "
                 f"reaching coordinate {fg.max_coordinate()}"
             )
-    window = template.window(n)
     gens = [_place(window, fg.support) for fg in template.fixed_generators]
     skipped = []
     instances = []

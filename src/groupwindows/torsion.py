@@ -64,27 +64,14 @@ def socle_subgroup(g: WindowSubgroup, p: int) -> WindowSubgroup:
 
 def _socle_coordinates(window: ProductWindow, p: int):
     """Flat factor positions with p dividing the modulus, and their half-moduli."""
-    coords = []
-    for f, m in enumerate(window.flat_orders):
-        if m % p == 0:
-            coords.append((f, m // p))
-    return coords
+    return [(f, m // p) for f, m in enumerate(window.flat_orders) if m % p == 0]
 
 
 def socle_vector(x: Element, p: int) -> tuple[int, ...]:
     """Coordinates of an order-dividing-p element over the p-element field."""
-    coords = _socle_coordinates(x.window, p)
-    out = []
-    for f, half in coords:
-        r = x.flat[f]
-        if r % half:
-            raise InputError("element is not killed by p")
-        out.append((r // half) % p)
-    # factors not divisible by p must carry residue 0
-    for f, m in enumerate(x.window.flat_orders):
-        if m % p and x.flat[f]:
-            raise InputError("element is not killed by p")
-    return tuple(out)
+    if any(p * r % m for r, m in zip(x.flat, x.window.flat_orders)):
+        raise InputError("element is not killed by p")
+    return tuple(x.flat[f] // half for f, half in _socle_coordinates(x.window, p))
 
 
 def _from_socle_vector(window: ProductWindow, p: int, vec) -> Element:
@@ -298,38 +285,28 @@ def primary_decompose(g: WindowSubgroup) -> PrimaryDecomposition:
 
     Every flat factor has prime-power order, so the p-part of an element is
     its restriction to the p-power factors.  The part groups multiply back to
-    the original order.
+    the original order.  G's lattice is the product of the parts' lattices
+    over disjoint factors, so its canonical basis is theirs interleaved: a
+    part's basis is G's rows with a pivot at a p-power factor, cut to those.
     """
     window = g.window
     order = g.order()
     primes = tuple(p for p in window.primes() if order % p == 0)
     parts = []
     for p in primes:
-        coords = []
-        comps = []
-        flats = []
-        for i, comp in enumerate(window.components, start=1):
-            start, _ = window.coord_slices[i - 1]
-            kept = [
-                (start + k, m)
-                for k, m in enumerate(comp.factor_orders)
-                if m % p == 0
-            ]
-            if kept:
-                coords.append(i)
-                comps.append(tuple(m for _, m in kept))
-                flats.extend(pos for pos, _ in kept)
-        sub_window = ProductWindow(tuple(comps))
-        gens = []
-        for gen in g.canonical_generators:
-            gens.append(sub_window.from_flat([gen.flat[pos] for pos in flats]))
+        shapes = [tuple(m for m in comp.factor_orders if m % p == 0) for comp in window.components]
+        coords = tuple(i for i, shape in enumerate(shapes, start=1) if shape)
+        flats = tuple(f for f, m in enumerate(window.flat_orders) if m % p == 0)
+        sub_window = ProductWindow(tuple(shapes[i - 1] for i in coords))
+        rows = [tuple(row[f] for f in flats) for row in g.canonical_rows]
+        basis = tuple(tuple(g.basis[f][k] for k in flats) for f in flats)
         parts.append(
             PrimaryPart(
                 prime=p,
-                coordinates=tuple(coords),
+                coordinates=coords,
                 window=sub_window,
-                subgroup=WindowSubgroup(sub_window, gens),
-                flat_positions=tuple(flats),
+                subgroup=WindowSubgroup.from_rows(sub_window, rows, basis),
+                flat_positions=flats,
             )
         )
     return PrimaryDecomposition(window=window, primes=primes, parts=tuple(parts))

@@ -3,13 +3,27 @@
 A window is the truncation of a product of finite abelian groups to
 coordinates 1..N.  Every coordinate group is given by its cyclic
 decomposition into prime-power factors, so the whole window flattens to a
-product of cyclic groups Z(m_1) x ... x Z(m_F).  Subgroups are presented by
-generators and identified by a canonical lattice basis: the generators plus
-the modulus relations span an integer lattice of full rank F, and the
-canonical echelon basis of that lattice is the subgroup's identity card.
-Kernels (sections, torsion subgroups, height layers) come from one echelon
-basis of pairs as well, ``kernel_rows``; the Smith normal form serves only
-the coefficient solver behind ``membership_coefficients``.
+product of cyclic groups Z(m_1) x ... x Z(m_F).
+
+The core works on flat integer rows of width F.  An ``Element`` is one flat
+tuple reduced into [0, m_f); its residues per coordinate and its support are
+read off it.  Subgroups are identified by a canonical lattice basis: the
+generator rows plus the relations m_f e_f span an integer lattice of full
+rank F, and its canonical echelon (Hermite) basis is the subgroup's identity
+card.  Kernels (sections, torsion subgroups, height layers) come from one
+echelon basis of pairs, ``kernel_rows``; the Smith normal form serves only
+the coefficient solver behind ``membership_coefficients``.  Elements are
+built only at the edges: file I/O, witnesses, and generators written out.
+
+``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
+one is known: ``kernel_subgroup`` passes the kernel rows of ``kernel_rows``,
+``project`` onto a prefix of flat width e passes G's first e basis rows cut
+to width e, and ``primary_decompose`` G's rows with a pivot at a p-power
+factor, cut to those factors.  By the uniqueness of the Hermite normal form
+(Cohen, A Course in Computational Algebraic Number Theory, 2.4.3) these are
+exact: the cut rows keep a pivot in every column and every entry above a
+pivot reduced.  ``ProductWindow.element`` and ``from_flat`` reduce; the
+``Element`` constructor trusts its tuple.
 
 All coordinate indices in the public interface are 1-based and intervals are
 inclusive, matching the certificate and file formats.
@@ -19,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gcd, lcm, prod
 
 from .errors import InputError, WindowScaleError
@@ -119,7 +134,7 @@ class ComponentGroup:
 
 @dataclass(frozen=True)
 class ProductWindow:
-    """Coordinates 1..N, each carrying a ComponentGroup."""
+    """Coordinates 1..N, each carrying a ComponentGroup; sub-windows are kept per interval."""
 
     components: tuple[ComponentGroup, ...]
 
@@ -128,27 +143,24 @@ class ProductWindow:
             c if isinstance(c, ComponentGroup) else ComponentGroup(tuple(c))
             for c in self.components
         )
-        object.__setattr__(self, "components", comps)
         if len(comps) < 1:
             raise InputError("a window needs at least one coordinate")
+        bounds = list(accumulate((len(c.factor_orders) for c in comps), initial=0))
+        # derived once; the frozen class takes them through its instance dict
+        self.__dict__.update(
+            components=comps,
+            flat_orders=tuple(m for c in comps for m in c.factor_orders),
+            coord_slices=tuple(zip(bounds, bounds[1:])),  # half-open flat slice per coordinate
+            _hash=hash(comps),
+            _subwindows={},
+        )
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def length(self) -> int:
         return len(self.components)
-
-    @cached_property
-    def flat_orders(self) -> tuple[int, ...]:
-        return tuple(m for c in self.components for m in c.factor_orders)
-
-    @cached_property
-    def coord_slices(self) -> tuple[tuple[int, int], ...]:
-        """Per-coordinate (start, end) half-open slices into the flat vector."""
-        slices = []
-        pos = 0
-        for c in self.components:
-            slices.append((pos, pos + len(c.factor_orders)))
-            pos += len(c.factor_orders)
-        return tuple(slices)
 
     @property
     def flat_length(self) -> int:
@@ -165,8 +177,11 @@ class ProductWindow:
         return self.coord_slices[lo - 1][0], self.coord_slices[hi - 1][1]
 
     def subwindow(self, interval) -> "ProductWindow":
-        lo, hi = self.check_interval(interval)
-        return ProductWindow(self.components[lo - 1 : hi])
+        key = self.check_interval(interval)
+        sub = self._subwindows.get(key)
+        if sub is None:
+            sub = self._subwindows[key] = ProductWindow(self.components[key[0] - 1 : key[1]])
+        return sub
 
     def element(self, residues) -> "Element":
         """Build an element from per-coordinate residue sequences.
@@ -177,65 +192,61 @@ class ProductWindow:
             raise InputError(
                 f"expected residues for {self.length} coordinates, got {len(residues)}"
             )
-        rows = []
+        flat = []
         for i, (coord, comp) in enumerate(zip(residues, self.components), start=1):
             if len(coord) != len(comp.factor_orders):
                 raise InputError(
                     f"coordinate {i}: expected {len(comp.factor_orders)} residues, "
                     f"got {len(coord)}"
                 )
-            rows.append(tuple(int(r) % m for r, m in zip(coord, comp.factor_orders)))
-        return Element(self, tuple(rows))
+            flat += (int(r) % m for r, m in zip(coord, comp.factor_orders))
+        return Element(self, tuple(flat))
 
     def from_flat(self, flat) -> "Element":
+        """The element with these flat residues, reduced modulo the factor orders."""
         if len(flat) != self.flat_length:
             raise InputError("flat residue vector has wrong length")
-        rows = []
-        for start, end in self.coord_slices:
-            rows.append(tuple(int(r) % m for r, m in zip(flat[start:end], self.flat_orders[start:end])))
-        return Element(self, tuple(rows))
+        return Element(self, tuple(int(r) % m for r, m in zip(flat, self.flat_orders)))
 
     def zero(self) -> "Element":
-        return Element(self, tuple((0,) * len(c.factor_orders) for c in self.components))
+        return Element(self, (0,) * self.flat_length)
 
     def full_subgroup(self) -> "WindowSubgroup":
-        gens = []
-        for i, (start, end) in enumerate(self.coord_slices):
-            for f in range(start, end):
-                flat = [0] * self.flat_length
-                flat[f] = 1
-                gens.append(self.from_flat(flat))
-        return WindowSubgroup(self, gens)
+        F = self.flat_length
+        return WindowSubgroup.from_rows(self, [[int(k == f) for k in range(F)] for f in range(F)])
 
     def trivial_subgroup(self) -> "WindowSubgroup":
         return WindowSubgroup(self, ())
 
     def primes(self) -> tuple[int, ...]:
-        ps = set()
-        for c in self.components:
-            ps |= c.primes()
-        return tuple(sorted(ps))
+        return tuple(sorted(set().union(*(c.primes() for c in self.components))))
+
+
+def _flat_order(flat, mods) -> int:
+    """The order of a flat row: the lcm of its residues' orders."""
+    return lcm(*(m // gcd(m, r) for r, m in zip(flat, mods) if r))
 
 
 @dataclass(frozen=True)
 class Element:
-    """A point of a window: one residue per cyclic factor, grouped by coordinate."""
+    """A point of a window: one residue in [0, m_f) per flat factor f, trusted."""
 
     window: ProductWindow
-    residues: tuple[tuple[int, ...], ...]
+    flat: tuple[int, ...]
 
-    @cached_property
-    def flat(self) -> tuple[int, ...]:
-        return tuple(r for coord in self.residues for r in coord)
+    @property
+    def residues(self) -> tuple[tuple[int, ...], ...]:
+        """The flat residues grouped by coordinate."""
+        return tuple(self.flat[s:e] for s, e in self.window.coord_slices)
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.flat)
+        return not any(self.flat)
 
-    @cached_property
+    @property
     def support(self) -> tuple[int, ...]:
         """1-based coordinates where the element is nonzero."""
         return tuple(
-            i for i, coord in enumerate(self.residues, start=1) if any(coord)
+            i for i, (s, e) in enumerate(self.window.coord_slices, start=1) if any(self.flat[s:e])
         )
 
     def support_width(self) -> int:
@@ -243,12 +254,7 @@ class Element:
         return (s[-1] - s[0] + 1) if s else 0
 
     def order(self) -> int:
-        orders = [
-            m // gcd(m, r)
-            for r, m in zip(self.flat, self.window.flat_orders)
-            if r
-        ]
-        return lcm(*orders) if orders else 1
+        return _flat_order(self.flat, self.window.flat_orders)
 
     def __add__(self, other: "Element") -> "Element":
         if other.window != self.window:
@@ -269,18 +275,15 @@ class Element:
 
     def restrict(self, interval) -> "Element":
         """The projection of the element onto a coordinate interval."""
-        lo, hi = self.window.check_interval(interval)
-        sub = self.window.subwindow(interval)
-        return Element(sub, self.residues[lo - 1 : hi])
+        s, e = self.window.flat_slice(interval)
+        return Element(self.window.subwindow(interval), self.flat[s:e])
 
     def embed(self, window: ProductWindow, interval) -> "Element":
         """Zero-pad a subwindow element back into ``window`` at ``interval``."""
-        lo, hi = window.check_interval(interval)
         if window.subwindow(interval) != self.window:
             raise InputError("element does not match the target interval shape")
-        rows = [tuple((0,) * len(c.factor_orders)) for c in window.components]
-        rows[lo - 1 : hi] = list(self.residues)
-        return Element(window, tuple(rows))
+        s, e = window.flat_slice(interval)
+        return Element(window, (0,) * s + self.flat + (0,) * (window.flat_length - e))
 
 
 def element_order(g: Element) -> int:
@@ -293,8 +296,8 @@ class WindowSubgroup:
 
     Two subgroups are equal exactly when their canonical bases agree, so the
     class is usable as a decidable stand-in for abstract subgroup equality.
-    Instances are immutable; derived data (basis, element lists, scaled
-    subgroups) is cached on first use.
+    Instances are immutable; derived data (basis, generators, element lists,
+    scaled subgroups) is cached on first use.
     """
 
     def __init__(self, window: ProductWindow, generators=()):
@@ -302,32 +305,52 @@ class WindowSubgroup:
         for g in gens:
             if not isinstance(g, Element) or g.window != window:
                 raise InputError("generators must be elements of the subgroup's window")
-        self.window = window
+        self._setup(window, [g.flat for g in gens])
         self.generators = gens
+
+    @classmethod
+    def from_rows(cls, window: ProductWindow, rows, basis=None) -> "WindowSubgroup":
+        """The subgroup spanned by flat integer rows of the window's width, unchecked.
+
+        A given ``basis`` is trusted as the rows' canonical basis, so no echelon
+        is computed.  The generators, the rows reduced, are built on first use.
+        """
+        g = cls.__new__(cls)
+        g._setup(window, rows)
+        if basis is not None:
+            g.__dict__["basis"] = basis
+        return g
+
+    def _setup(self, window: ProductWindow, rows):
+        self.window = window
+        self._rows = rows
         self._scaled_cache: dict[int, "WindowSubgroup"] = {}
         self._elements_cache: tuple[Element, ...] | None = None
+
+    @cached_property
+    def generators(self) -> tuple[Element, ...]:
+        return tuple(self.window.from_flat(r) for r in self._rows)
 
     @cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """Canonical full-rank basis of the generator lattice plus relations."""
         F = self.window.flat_length
-        mods = self.window.flat_orders
-        rows = [list(g.flat) for g in self.generators]
-        for f in range(F):
-            row = [0] * F
-            row[f] = mods[f]
-            rows.append(row)
+        rows = list(self._rows)
+        for f, m in enumerate(self.window.flat_orders):
+            rows.append([m if k == f else 0 for k in range(F)])
         return tuple(tuple(r) for r in row_lattice_basis(rows, F))
 
     @cached_property
-    def canonical_generators(self) -> tuple[Element, ...]:
+    def canonical_rows(self) -> tuple[tuple[int, ...], ...]:
         """Basis rows reduced modulo the factor orders, zero rows dropped."""
-        out = []
-        for row in self.basis:
-            g = self.window.from_flat(row)
-            if not g.is_zero():
-                out.append(g)
-        return tuple(out)
+        mods = self.window.flat_orders
+        reduced = (tuple(a % m for a, m in zip(row, mods)) for row in self.basis)
+        return tuple(row for row in reduced if any(row))
+
+    @cached_property
+    def canonical_generators(self) -> tuple[Element, ...]:
+        """The canonical rows as elements."""
+        return tuple(Element(self.window, row) for row in self.canonical_rows)
 
     def __eq__(self, other):
         if not isinstance(other, WindowSubgroup):
@@ -342,8 +365,7 @@ class WindowSubgroup:
 
     def order(self) -> int:
         covolume = prod(row[i] for i, row in enumerate(self.basis))
-        total = prod(self.window.flat_orders) if self.window.flat_orders else 1
-        q, r = divmod(total, covolume)
+        q, r = divmod(prod(self.window.flat_orders), covolume)
         assert r == 0
         return q
 
@@ -352,21 +374,24 @@ class WindowSubgroup:
 
     def exponent(self) -> int:
         """Least n with n*g == 0 for every g in the subgroup."""
-        orders = [g.order() for g in self.canonical_generators]
-        return lcm(*orders) if orders else 1
+        mods = self.window.flat_orders
+        return lcm(*(_flat_order(row, mods) for row in self.canonical_rows))
 
     def contains(self, x: Element) -> bool:
         if x.window != self.window:
             raise InputError("element and subgroup live in different windows")
-        vec = list(x.flat)
+        return self.contains_flat(x.flat)
+
+    def contains_flat(self, vec) -> bool:
+        """Membership of a flat integer row of the window's width."""
+        vec = list(vec)
         for idx, row in enumerate(self.basis):
-            pivot = row[idx]
-            if vec[idx] % pivot:
+            q, r = divmod(vec[idx], row[idx])
+            if r:
                 return False
-            q = vec[idx] // pivot
             if q:
                 vec = [a - q * b for a, b in zip(vec, row)]
-        return not any(vec)
+        return True
 
     def coset_representative(self, x: Element) -> Element:
         """Canonical representative of x modulo this subgroup."""
@@ -381,12 +406,11 @@ class WindowSubgroup:
 
     def scaled(self, k: int) -> "WindowSubgroup":
         """The subgroup k*G = { k*g : g in G }."""
-        if k < 0:
-            k = -k
+        k = abs(k)
         got = self._scaled_cache.get(k)
         if got is None:
-            got = WindowSubgroup(self.window, [g.scale(k) for g in self.canonical_generators])
-            self._scaled_cache[k] = got
+            rows = [[k * a for a in row] for row in self.canonical_rows]
+            got = self._scaled_cache[k] = WindowSubgroup.from_rows(self.window, rows)
         return got
 
     def elements(self, limit: int = ENUM_LIMIT) -> tuple[Element, ...]:
@@ -399,8 +423,8 @@ class WindowSubgroup:
                 f"subgroup has {n} elements, beyond the exact-scan limit {limit}"
             )
         mods = self.window.flat_orders
-        gens = [g.flat for g in self.canonical_generators]
-        seen = {tuple(0 for _ in mods)}
+        gens = self.canonical_rows
+        seen = {(0,) * len(mods)}
         frontier = list(seen)
         while frontier:
             nxt = []
@@ -422,22 +446,26 @@ class WindowSubgroup:
         This is the width of the narrowest generator presentation at hand; it
         bounds how far window-boundary effects can reach.
         """
-        widths_given = [g.support_width() for g in self.generators if not g.is_zero()]
-        widths_canon = [g.support_width() for g in self.canonical_generators]
-        candidates = []
-        if widths_given:
-            candidates.append(max(widths_given))
-        if widths_canon:
-            candidates.append(max(widths_canon))
-        return min(candidates) if candidates else 0
+        # a nonzero generator exists exactly when a canonical one does
+        return min(
+            max((x.support_width() for x in gens if not x.is_zero()), default=0)
+            for gens in (self.generators, self.canonical_generators)
+        )
 
 
 def project(g: WindowSubgroup, interval) -> WindowSubgroup:
-    """The image of the subgroup under projection onto a coordinate interval."""
-    g.window.check_interval(interval)
-    sub = g.window.subwindow(interval)
-    gens = [x.restrict(interval) for x in g.canonical_generators]
-    return WindowSubgroup(sub, gens)
+    """The image of the subgroup under projection onto a coordinate interval.
+
+    The generators are the canonical generators restricted to the interval.
+    Onto a prefix of flat width e the canonical basis is G's first e basis
+    rows cut to width e: the later rows vanish there, and the first e keep
+    their pivots and reduced entries.  Other intervals take a fresh echelon.
+    """
+    lo, _ = g.window.check_interval(interval)
+    s, e = g.window.flat_slice(interval)
+    rows = [row[s:e] for row in g.canonical_rows]
+    basis = tuple(row[:e] for row in g.basis[:e]) if lo == 1 else None
+    return WindowSubgroup.from_rows(g.window.subwindow(interval), rows, basis)
 
 
 def kernel_rows(g: WindowSubgroup, t) -> tuple[list, list]:
@@ -460,7 +488,8 @@ def kernel_rows(g: WindowSubgroup, t) -> tuple[list, list]:
 
 def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
     """The subgroup { x in G : t_f divides x_f at every flat factor f }."""
-    return WindowSubgroup(g.window, [g.window.from_flat(r) for r in kernel_rows(g, t)[0]])
+    kernel = kernel_rows(g, t)[0]
+    return WindowSubgroup.from_rows(g.window, kernel, tuple(map(tuple, kernel)))
 
 
 def section(g: WindowSubgroup, interval) -> WindowSubgroup:
@@ -506,7 +535,7 @@ def least_outside(a: WindowSubgroup, b) -> Element | None:
             powers.append(q)
             q *= p
     for q in sorted(powers):
-        x = least_in_difference(torsion_subgroup(a, q), b_of(q).contains)
+        x = least_in_difference(torsion_subgroup(a, q), b_of(q).contains_flat)
         if x is not None:
             return x
     return None
@@ -515,19 +544,16 @@ def least_outside(a: WindowSubgroup, b) -> Element | None:
 def least_in_difference(a: WindowSubgroup, inside) -> Element | None:
     """The lexicographically least member of ``a`` for which ``inside`` is false.
 
-    ``inside`` is the membership test of a subgroup; None when all of ``a``
-    passes it.  Echelon row f has its pivot d_f at flat f, so the members
+    ``inside`` is the membership test of a subgroup on flat rows; None when
+    all of ``a`` passes it.  Echelon row f has its pivot d_f at flat f, so the members
     agreeing before f take the values r, r + d_f, ... there, with r the
     least.  Before the last row outside, every choice still leaves members
     outside, so r is taken.  At that row the later rows lie inside: r is kept
     unless the member so far is inside, and then r + d_f gives one outside.
     After it, r again.
     """
-    window = a.window
     rows = a.basis
-    last = next(
-        (f for f in reversed(range(len(rows))) if not inside(window.from_flat(rows[f]))), None
-    )
+    last = next((f for f in reversed(range(len(rows))) if not inside(rows[f])), None)
     if last is None:
         return None
     vec = [0] * len(rows)
@@ -535,9 +561,9 @@ def least_in_difference(a: WindowSubgroup, inside) -> Element | None:
         k = vec[f] // row[f]
         if k:
             vec = [x - k * y for x, y in zip(vec, row)]
-        if f == last and inside(window.from_flat(vec)):
+        if f == last and inside(vec):
             vec = [x + y for x, y in zip(vec, row)]
-    return window.from_flat(vec)
+    return a.window.from_flat(vec)
 
 
 def membership(x: Element, g: WindowSubgroup) -> bool:
@@ -565,24 +591,24 @@ def membership_coefficients(
     window = g.window if interval is None else g.window.subwindow(interval)
     if x.window != window:
         raise InputError("element and subgroup live in different windows")
-    gens = g.canonical_generators
+    gens = g.canonical_rows
     if not gens:
         return [] if x.is_zero() else None
     s, e = (0, window.flat_length) if interval is None else g.window.flat_slice(interval)
-    A = IntMatrix.from_rows([[scale * gen.flat[f] for gen in gens] for f in range(s, e)])
+    A = IntMatrix.from_rows([[scale * gen[f] for gen in gens] for f in range(s, e)])
     return solve_mixed_modulus(A, list(x.flat), list(window.flat_orders))
 
 
 def combine(g: WindowSubgroup, coefficients) -> Element:
     """The combination sum(c_j * generator_j) over the canonical generators."""
-    gens = g.canonical_generators
-    if len(coefficients) != len(gens):
+    rows = g.canonical_rows
+    if len(coefficients) != len(rows):
         raise InputError("one coefficient per canonical generator required")
-    acc = g.window.zero()
-    for c, gen in zip(coefficients, gens):
+    flat = [0] * g.window.flat_length
+    for c, row in zip(coefficients, rows):
         if c:
-            acc = acc + gen.scale(c)
-    return acc
+            flat = [a + c * b for a, b in zip(flat, row)]
+    return g.window.from_flat(flat)
 
 
 def span(window: ProductWindow, elements) -> WindowSubgroup:

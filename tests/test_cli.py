@@ -121,6 +121,15 @@ def test_unroll_window_below_fixed_support(template_path):
     assert main(["unroll", "--input", template_path, "--window", "1"]) == 3
 
 
+def test_window_below_one_is_named_before_the_fixed_support(template_path, capsys):
+    # a window below 1 is reported as such, not as too short for a generator
+    for command in (["check", "--property", "order-controllable"], ["unroll"], ["synthesize"]):
+        for bad in ("0", "-3"):
+            assert main([*command, "--input", template_path, "--window", bad]) == 3
+            err = capsys.readouterr().err
+            assert "window length must be >= 1" in err and "fixed generator" not in err
+
+
 def test_synthesize_crt_window_emits_two_encoders(tmp_path):
     path = write(tmp_path, "z6.json", {"components": [[2, 3]], "generators": [[[1, 0]], [[0, 1]]]})
     out = tmp_path / "enc.json"

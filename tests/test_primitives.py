@@ -5,13 +5,15 @@ an interval and ``height_layer`` are checked against filtering the
 exhaustive span, ``least_outside`` and ``least_in_difference`` against the
 least listed member outside, ``FpEchelon`` against exhaustive F_p spans, and
 ``_socle_solve`` by round trips through the socle elements it solves over.
+The bases that ``project``, ``kernel_subgroup`` and ``primary_decompose``
+take without a new echelon are checked against a fresh one.
 """
 
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from groupwindows import GeneratingSet, WindowSubgroup
+from groupwindows import GeneratingSet, WindowSubgroup, primary_decompose, project
 from groupwindows.synthesis import _socle_solve
 from groupwindows.torsion import FpEchelon
 from groupwindows.torsion import height_layer
@@ -59,6 +61,47 @@ def _brute_kernel(g, t):
 
 def _flats(g):
     return {x.flat for x in g.elements()}
+
+
+def _fresh_basis(g):
+    """The basis recomputed from the subgroup's generators."""
+    return WindowSubgroup(g.window, g.generators).basis
+
+
+@SETTINGS
+@given(small_groups())
+def test_project_takes_the_basis_of_its_restricted_canonical_generators(g):
+    # every prefix [1, i] cuts G's basis; the interior intervals take a fresh one
+    n = g.window.length
+    for iv in [(lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]:
+        proj = project(g, iv)
+        assert proj.generators == tuple(x.restrict(iv) for x in g.canonical_generators)
+        assert proj.basis == _fresh_basis(proj)
+
+
+@SETTINGS
+@given(small_groups(), st.data())
+def test_kernel_subgroup_takes_the_basis_of_its_generators(g, data):
+    t = [data.draw(st.sampled_from(_divisors(m))) for m in g.window.flat_orders]
+    kernel = kernel_subgroup(g, t)
+    assert kernel.basis == _fresh_basis(kernel)
+
+
+@SETTINGS
+@given(small_groups())
+def test_primary_parts_take_the_basis_of_their_generators(g):
+    for part in primary_decompose(g).parts:
+        assert part.subgroup.basis == _fresh_basis(part.subgroup)
+
+
+@SETTINGS
+@given(small_groups(), st.data())
+def test_element_from_residues_equals_element_from_flat(g, data):
+    w = g.window
+    x = w.from_flat(data.draw(st.tuples(*[st.integers(-20, 20) for _ in w.flat_orders])))
+    y = w.element(x.residues)
+    assert y == x and hash(y) == hash(x)
+    assert all(0 <= r < m for r, m in zip(x.flat, w.flat_orders))
 
 
 @SETTINGS
@@ -172,8 +215,9 @@ def test_least_outside_matches_listing(groups):
         return WindowSubgroup(a.window, b.generators + torsion_subgroup(c, q).generators)
 
     def b_set_of(q):
+        # b + c[q] of two listed subgroups is their sumset
         killed = [v for v in c_set if all((q * r) % m == 0 for r, m in zip(v, mods))]
-        return oracles.naive_span([x.flat for x in b.generators] + killed, mods)
+        return {tuple((u + v) % m for u, v, m in zip(x, y, mods)) for x in b_set for y in killed}
 
     want = oracles.naive_least_outside(a_set, b_set_of, mods)
     got = least_outside(a, b_of)
@@ -189,7 +233,7 @@ def test_least_in_difference_is_none_exactly_when_inside(groups):
     mods = a.window.flat_orders
     a_set = oracles.naive_span([x.flat for x in a.generators], mods)
     b_set = oracles.naive_span([x.flat for x in b.generators], mods)
-    got = least_in_difference(a, b.contains)
+    got = least_in_difference(a, b.contains_flat)
     if a_set <= b_set:
         assert got is None
     else:

@@ -62,6 +62,29 @@ def test_project_examples():
     assert {e.flat for e in proj.elements()} == span
 
 
+def test_prefix_projection_computes_no_echelon(monkeypatch):
+    from groupwindows import window as window_module
+
+    calls = []
+    real = window_module.row_lattice_basis
+
+    def counted(rows, width):
+        calls.append(width)
+        return real(rows, width)
+
+    monkeypatch.setattr(window_module, "row_lattice_basis", counted)
+    w = window_of([4], [2, 3], [9], [8])
+    g = subgroup(w, (1, 1, 2, 3, 0), (0, 0, 1, 6, 4), (2, 0, 0, 0, 2))
+    g.canonical_generators
+    calls.clear()
+    prefixes = [project(g, (1, i)) for i in range(1, w.length + 1)]
+    assert [p.order() for p in prefixes] == [4, 12, 12, 48]  # listed by the oracle
+    assert calls == []
+    # an interior interval takes a fresh echelon of its flat width
+    project(g, (2, 3)).basis
+    assert calls == [3]
+
+
 def test_project_out_of_range():
     w = window_of([4], [2])
     with pytest.raises(InputError):
