@@ -76,7 +76,6 @@ class _Scans:
     def __init__(self, g: WindowSubgroup):
         self.g = g
         self._proj_of_g: dict[int, WindowSubgroup] = {}
-        self._proj_of_section: dict[tuple[int, int], WindowSubgroup] = {}
         self._torsion: dict[int, tuple[list, list]] = {}
 
     @cached_property
@@ -91,10 +90,7 @@ class _Scans:
 
     def proj_sect(self, i: int, n: int) -> WindowSubgroup:
         """The projection onto [1, i] of the members of G supported in [1, n]."""
-        key = (i, n)
-        if key not in self._proj_of_section:
-            self._proj_of_section[key] = self._prefix_span(self._section_rows, i, n)
-        return self._proj_of_section[key]
+        return self._prefix_span(self._section_rows, i, n)
 
     def _prefix_span(self, rows, i: int, n: int, extra=()) -> WindowSubgroup:
         """The span on [1, i] of ``extra`` and of the rows ending inside [1, n]."""
@@ -156,9 +152,9 @@ def _check_index_args(g: WindowSubgroup, i: int, cap: int):
         )
 
 
-def _ctrl_index(scans: _Scans, i: int, cap: int) -> Optional[int]:
+def _ctrl_index(scans: _Scans, i: int, cap: int, start: int = 1) -> Optional[int]:
     target = scans.proj_g(i)
-    for n in range(i, cap + 1):
+    for n in range(max(i, start), cap + 1):
         if scans.proj_sect(i, n) == target:
             return n
     return None
@@ -226,8 +222,8 @@ def order_controllability_index(
     return _order_index(scans, i, cap)
 
 
-def _order_index(scans: _Scans, i: int, cap: int):
-    for n in range(i, cap + 1):
+def _order_index(scans: _Scans, i: int, cap: int, start: int = 1):
+    for n in range(max(i, start), cap + 1):
         if _order_condition_holds(scans, i, n):
             return n, None, None
     proj = _order_witness(scans, i, cap)
@@ -272,10 +268,12 @@ def _engine(
     scans = _Scans(g)
     indices: dict[int, int] = {}
     for i in range(1, max_index + 1):
+        # n_i never decreases in i: a pair (i + 1, n) that holds implies (i, n)
+        start = indices.get(i - 1, 1)
         if order:
-            n, witness, context = _order_index(scans, i, cap)
+            n, witness, context = _order_index(scans, i, cap, start)
         else:
-            n = _ctrl_index(scans, i, cap)
+            n = _ctrl_index(scans, i, cap, start)
             witness = context = None
             if n is None:
                 witness, context = _controllability_witness(scans, i, cap)

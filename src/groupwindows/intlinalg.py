@@ -8,7 +8,7 @@ enough.
 The three workhorses are
 
 * ``smith_normal_form``: U * M * V = D with U, V unimodular and D diagonal
-  with a divisibility chain,
+  with a divisibility chain, U and V kept as logs of operations until read,
 * ``row_lattice_basis``: the canonical echelon basis of an integer row
   lattice (used for subgroup canonical forms, membership and every kernel
   subgroup, see ``window.kernel_rows``),
@@ -16,7 +16,8 @@ The three workhorses are
   moduli, the lattice form of "is this element a combination of these
   generators".
 
-Inside the library the Smith normal form serves only ``solve_mixed_modulus``.
+Inside the library the Smith normal form serves only ``solve_mixed_modulus``,
+which applies the logs to vectors and never builds U or V.
 ``left_kernel_basis`` stays a public function of this module (the
 benchmark's tracer wraps it by name), but no library code calls it.
 """
@@ -24,6 +25,7 @@ benchmark's tracer wraps it by name), but no library code calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InputError
@@ -93,51 +95,46 @@ class IntMatrix:
         )
         return IntMatrix(self.rows, other.cols, data)
 
-    def apply(self, vec) -> list[int]:
-        if len(vec) != self.cols:
-            raise InputError("vector length mismatch in matrix-vector product")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.data]
-
     def diagonal(self) -> list[int]:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U * M * V = D with U, V unimodular and D the Smith normal form of M."""
+    """U * M * V = D, the Smith normal form; U and V are built from the operation logs when read."""
 
-    U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
+    row_ops: tuple[tuple, ...]
+    col_ops: tuple[tuple, ...]
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return _replayed_identity(self.D.rows, self.row_ops).transpose()
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return _replayed_identity(self.D.cols, self.col_ops)
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.D.diagonal() if d != 0)
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
+def _replayed_identity(n: int, ops) -> IntMatrix:
+    """Row k is e_k with ``ops`` replayed: column operations give V, row operations U^T."""
+    return IntMatrix.from_rows(_replay(list(e), ops) for e in IntMatrix.identity(n).data)
 
 
-def _negate_row(a, i):
-    a[i] = [-v for v in a[i]]
-
-
-def _add_row(a, dst, src, q):
-    if q:
-        row_s = a[src]
-        a[dst] = [v - q * w for v, w in zip(a[dst], row_s)]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(a, dst, src, q):
-    if q:
-        for row in a:
-            row[dst] -= q * row[src]
+def _replay(vec: list[int], ops) -> list[int]:
+    """Apply operations (i, j, q) to ``vec`` in order and in place: (i, j, None)
+    swaps entries i and j, else entry i loses q times entry j ((i, i, 2) negates it).
+    """
+    for i, j, q in ops:
+        if q is None:
+            vec[i], vec[j] = vec[j], vec[i]
+        else:
+            vec[i] -= q * vec[j]
+    return vec
 
 
 def smith_normal_form(M: IntMatrix) -> SnfResult:
@@ -149,8 +146,19 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
     """
     m, n = M.rows, M.cols
     a = [list(row) for row in M.data]
-    u = [list(row) for row in IntMatrix.identity(m).data]
-    v = [list(row) for row in IntMatrix.identity(n).data]
+    row_ops, col_ops = [], []  # operations (i, j, q) as ``_replay`` reads them
+
+    def row_op(i, j, q=None):
+        row_ops.append((i, j, q))
+        if q is None:
+            a[i], a[j] = a[j], a[i]
+        else:
+            a[i] = [v - q * w for v, w in zip(a[i], a[j])]
+
+    def col_op(i, j, q=None):
+        col_ops.append((i, j, q))
+        for row in a:
+            _replay(row, ((i, j, q),))
 
     s = 0
     while s < min(m, n):
@@ -165,14 +173,11 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
             break
         _, bi, bj = best
         if bi != s:
-            _swap_rows(a, s, bi)
-            _swap_rows(u, s, bi)
+            row_op(s, bi)
         if bj != s:
-            _swap_cols(a, s, bj)
-            _swap_cols(v, s, bj)
+            col_op(s, bj)
         if a[s][s] < 0:
-            _negate_row(a, s)
-            _negate_row(u, s)
+            row_op(s, s, 2)
 
         while True:
             # clear the pivot row and column; a nonzero remainder becomes the
@@ -181,25 +186,22 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
             for i in range(s + 1, m):
                 if a[i][s]:
                     q = a[i][s] // a[s][s]
-                    _add_row(a, i, s, q)
-                    _add_row(u, i, s, q)
+                    if q:
+                        row_op(i, s, q)
                     if a[i][s]:
-                        _swap_rows(a, s, i)
-                        _swap_rows(u, s, i)
+                        row_op(s, i)
                         dirty = True
             for j in range(s + 1, n):
                 if a[s][j]:
                     q = a[s][j] // a[s][s]
-                    _add_col(a, j, s, q)
-                    _add_col(v, j, s, q)
+                    if q:
+                        col_op(j, s, q)
                     if a[s][j]:
-                        _swap_cols(a, s, j)
-                        _swap_cols(v, s, j)
+                        col_op(s, j)
                         dirty = True
             if dirty:
                 if a[s][s] < 0:
-                    _negate_row(a, s)
-                    _negate_row(u, s)
+                    row_op(s, s, 2)
                 continue
             # divisibility fix-up: fold a bad entry into the pivot row
             bad = None
@@ -212,14 +214,10 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
                     break
             if bad is None:
                 break
-            _add_row(a, s, bad, -1)
-            _add_row(u, s, bad, -1)
+            row_op(s, bad, -1)
         s += 1
 
-    U = IntMatrix.from_rows(u)
-    D = IntMatrix.from_rows(a)
-    V = IntMatrix.from_rows(v)
-    return SnfResult(U=U, D=D, V=V)
+    return SnfResult(D=IntMatrix.from_rows(a), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def row_lattice_basis(rows, width: int) -> list[list[int]]:
@@ -305,17 +303,12 @@ def solve_mixed_modulus(A: IntMatrix, b, mods) -> list[int] | None:
     rows = [list(A.row(i)) + [mods[i] if j == i else 0 for j in range(F)] for i in range(F)]
     stacked = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, c)
     snf = smith_normal_form(stacked)
-    rhs = snf.U.apply(b)
-    r = snf.rank
-    diag = snf.D.diagonal()
+    rhs = _replay(b, snf.row_ops)
     z = [0] * (c + F)
-    for i in range(F):
-        if i < r:
-            if rhs[i] % diag[i]:
-                return None
-            z[i] = rhs[i] // diag[i]
-        elif rhs[i]:
+    for i, d in enumerate(snf.D.diagonal()):  # one entry per row; zero past the rank
+        z[i], rest = divmod(rhs[i], d) if d else (0, rhs[i])
+        if rest:
             return None
-    y = snf.V.apply(z)
-    x = y[:c]
+    # V z: the column operations act on a column vector in reverse, transposed
+    x = _replay(z, [(j, i, q) for i, j, q in reversed(snf.col_ops)])[:c]
     return [x[j] % _column_order(A.column(j), mods) for j in range(c)]

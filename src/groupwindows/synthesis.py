@@ -29,16 +29,17 @@ from .control import (
     Certificate,
     HOLDS,
     UNDETERMINED,
+    _resolve_margin,
     is_weakly_observable,
     order_controllability_certificate,
 )
 from .errors import InputError, UndeterminedAtWindowError
 from .torsion import (
     FpEchelon,
+    HeightLayers,
     PrimaryDecomposition,
     _socle_coordinates,
     height_layer,
-    height_layers,
     is_p_group,
     p_valuation,
     primary_decompose,
@@ -168,7 +169,7 @@ def synthesize_p(
             break
         n_dk = n_sequence[d_k]
         arena = (d_prev + 1, n_dk)  # where the block's socle elements are supported
-        layers = height_layers(g, p, arena)
+        layers = HeightLayers(g, p, arena)
         below = [i for i, n in n_sequence.items() if n < d_k]
         lift_section = section(g, ((max(below) + 1) if below else 1, n_dk))
         inside = _prefix_in_span(echelon, g.window, d_k, p)
@@ -266,7 +267,7 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         put("eq1", spans, f"block {k}: projected socle differs from projected span" if not spans else "")
 
         # (d) membership, maximal height, nonincreasing heights
-        layers = height_layers(g, p, (d_prev + 1, n_dk))
+        layers = HeightLayers(g, p, (d_prev + 1, n_dk))
         ech = FpEchelon(p)
         for x in gs.socle_elements[:lo]:
             ech.add(_prefix_socle_vector(x, d_k, p))
@@ -274,11 +275,14 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         prev_h = None
         for j in range(lo, hi):
             x = gs.socle_elements[j]
-            ok_member = layers[0].contains(x) and x.order() == p
+            in_arena = all(d_prev < i <= n_dk for i in x.support)
+            ok_member = g.contains(x) and in_arena and x.order() == p
             best = _max_height(layers, inside)
             if (ok_member or best >= 0) and not is_p_group(g, p):
                 raise InputError("heights are defined inside p-groups")
-            h = max(lv for lv, layer in enumerate(layers) if layer.contains(x)) if ok_member else -1
+            h = -1
+            if ok_member:  # x lies in L_lv exactly when it lies in p^lv G
+                h = max(lv for lv in range(len(layers)) if lv == 0 or g.scaled(p**lv).contains(x))
             ok_height = h == gs.heights[j]
             ok_max = h == best
             ok_mono = prev_h is None or h <= prev_h
@@ -511,6 +515,22 @@ class SynthesisResult:
     verdicts: dict
 
 
+def _certifies_part(cert: Certificate, g: WindowSubgroup, part: WindowSubgroup) -> bool:
+    """Would certifying the part give G's certificate back?  That depends only
+    on the window, the canonical basis, the margin and the depth tested; a
+    p-group's part has G's window and basis, but its margin can be wider.
+    """
+    notes = cert.notes
+    return (
+        cert.property == "order-controllable"
+        and notes.get("source") == "group"
+        and (cert.window, part.window, part.basis) == (g.window.length, g.window, g.basis)
+        and notes["margin"] == _resolve_margin(g, None) == _resolve_margin(part, None)
+        # every depth up to the cap is tested unless max_index stopped short
+        and notes["max_index"] == notes["cap"]
+    )
+
+
 def synthesize(
     g: WindowSubgroup,
     *,
@@ -521,7 +541,8 @@ def synthesize(
 
     Requires a holding order-controllability certificate unless
     ``accept_undetermined`` allows proceeding on a partial one, in which case
-    every downstream verdict is stamped undetermined.
+    every downstream verdict is stamped undetermined.  A given certificate is
+    taken to be G's, and a part that G's certificate certifies reuses it.
     """
     cert = certificate or order_controllability_certificate(g)
     if cert.status == "fails" and not accept_undetermined:
@@ -538,7 +559,8 @@ def synthesize(
     determined = cert.status == HOLDS
     for part in decomposition.parts:
         p = part.prime
-        c_p = order_controllability_certificate(part.subgroup)
+        reuse = _certifies_part(cert, g, part.subgroup)
+        c_p = cert if reuse else order_controllability_certificate(part.subgroup)
         if c_p.status == "fails" and not accept_undetermined:
             raise InputError(
                 f"synthesis refused: the {p}-part fails order controllability"

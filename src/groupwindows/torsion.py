@@ -9,7 +9,9 @@ group.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import zip_longest
 
 from .errors import InputError
@@ -167,13 +169,23 @@ def height_layer(g: WindowSubgroup, p: int, h: int, interval=None) -> WindowSubg
     return torsion_subgroup(g.scaled(p**h), p, interval)
 
 
-def height_layers(g: WindowSubgroup, p: int, interval=None) -> list[WindowSubgroup]:
+class HeightLayers(Sequence):
     """The layers L_0 ⊇ L_1 ⊇ ... inside ``interval``, for h < v where exp(G) = p^v.
 
     No socle element has height v or more; layer 0, the socle, is always there.
+    Each layer is built on first read; a bad interval raises at once.
     """
-    v = p_valuation(g.exponent(), p)
-    return [height_layer(g, p, h, interval) for h in range(max(v, 1))]
+
+    def __init__(self, g: WindowSubgroup, p: int, interval):
+        g.window.check_interval(interval)
+        self._range = range(max(p_valuation(g.exponent(), p), 1))
+        self._build = cache(lambda h: height_layer(g, p, h, interval))
+
+    def __len__(self):
+        return len(self._range)
+
+    def __getitem__(self, h: int) -> WindowSubgroup:
+        return self._build(self._range[h])
 
 
 def max_height_prefix_witness(

@@ -373,7 +373,11 @@ class WindowSubgroup:
         return self.order() == 1
 
     def exponent(self) -> int:
-        """Least n with n*g == 0 for every g in the subgroup."""
+        """Least n with n*g == 0 for every g in the subgroup, computed once."""
+        return self._exponent
+
+    @cached_property
+    def _exponent(self) -> int:
         mods = self.window.flat_orders
         return lcm(*(_flat_order(row, mods) for row in self.canonical_rows))
 

@@ -4,6 +4,7 @@ import pytest
 
 from groupwindows import (
     WindowSubgroup,
+    control,
     certify,
     closure_window,
     controllability_certificate,
@@ -129,6 +130,30 @@ def test_order_controllability_index_staggered_present():
                     span_set, slices, list(g.window.flat_orders), i, n - 1
                 )
         found += 1
+
+
+def test_index_scans_start_at_the_previous_index(monkeypatch):
+    # width-3 generators e_k + e_(k+1) + e_(k+2) make n_i = i + 2, so a scan
+    # that starts at n_(i-1) = i + 1 tests two support bounds per depth, not three
+    n = 12
+    gens = [[int(k <= j < k + 3) for j in range(n)] for k in range(n - 2)]
+    g = subgroup(window_of(*[[2]] * n), *gens)
+    scanned = []
+    real = control._Scans.proj_sect
+
+    def proj_sect(scans, i, m):
+        scanned.append((i, m))
+        return real(scans, i, m)
+
+    monkeypatch.setattr(control._Scans, "proj_sect", proj_sect)
+    for certify_with in (controllability_certificate, order_controllability_certificate):
+        scanned.clear()
+        cert = certify_with(g, max_index=7)
+        assert cert.holds() and cert.indices == {i: i + 2 for i in range(1, 8)}
+        starts = [1] + [cert.indices[i] for i in range(1, 7)]
+        expected = [(i, m) for i, lo in zip(range(1, 8), starts) for m in range(max(i, lo), i + 3)]
+        assert scanned == expected
+        assert len(scanned) == 15 < sum(n_i - i + 1 for i, n_i in cert.indices.items())
 
 
 # ---------------------------------------------------------------- certificates

@@ -8,6 +8,9 @@ from groupwindows import IntMatrix, smith_normal_form, solve_mixed_modulus
 from groupwindows.intlinalg import left_kernel_basis, row_lattice_basis
 from groupwindows.errors import InputError
 
+from conftest import random_mixed_group, random_staggered_group
+import oracles
+
 
 def det(m):
     if m.rows != m.cols:
@@ -212,3 +215,57 @@ def test_solve_solution_in_image_is_found():
             (sum(a.data[i][j] * got[j] for j in range(cols)) - b[i]) % mods[i] == 0
             for i in range(rows)
         )
+
+
+def _canonical_row_systems(seed, count):
+    """(A, b, mods) as ``membership_coefficients`` builds them.
+
+    A holds a seeded group's canonical rows, times a scale and cut to an
+    interval, as columns; b is the cut of a scaled member or of a random
+    vector, so both solvable and unsolvable systems occur.
+    """
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        if made % 2 == 0:
+            g = random_staggered_group(rng, rng.choice((2, 3, 5)))
+        else:
+            g = random_mixed_group(rng)
+        if g is None:
+            continue
+        made += 1
+        lo = rng.randint(1, g.window.length)
+        s, e = g.window.flat_slice((lo, rng.randint(lo, g.window.length)))
+        scale = rng.choice((1, 2, 3, 4, 9))
+        gens = g.canonical_rows
+        mods = list(g.window.flat_orders[s:e])
+        a = IntMatrix.from_rows([[scale * gen[f] for gen in gens] for f in range(s, e)])
+        if rng.random() < 0.5:
+            x = [rng.randrange(9) for _ in gens]
+            b = [sum(c * v for c, v in zip(x, row)) for row in a.data]
+        else:
+            b = [rng.randrange(m) for m in mods]
+        yield a, b, mods
+
+
+def test_snf_of_canonical_row_systems_recomposes():
+    # the matrices solve_mixed_modulus diagonalizes: (A | diag(mods))
+    for a, _, mods in _canonical_row_systems(1729, 150):
+        relations = [[m if j == i else 0 for j, m in enumerate(mods)] for i in range(len(mods))]
+        stacked = IntMatrix.from_rows([list(row) + rel for row, rel in zip(a.data, relations)])
+        s = smith_normal_form(stacked)
+        assert (s.U @ stacked @ s.V).data == s.D.data
+
+
+def test_solve_matches_the_matrix_reference_on_canonical_rows():
+    solved = unsolved = 0
+    for a, b, mods in _canonical_row_systems(2024, 400):
+        got = solve_mixed_modulus(a, b, mods)
+        assert got == oracles.matrix_solve_mixed_modulus(a, b, mods)
+        if got is None:
+            unsolved += 1
+        else:
+            solved += 1
+            residues = [sum(c * x for c, x in zip(row, got)) - v for row, v in zip(a.data, b)]
+            assert all(r % m == 0 for r, m in zip(residues, mods))
+    assert solved >= 200 and unsolved >= 50

@@ -12,19 +12,28 @@ from groupwindows import (
     check_implicit_direct_product,
     closure_window,
     encode,
+    fileio,
     height,
     order_controllability_certificate,
     represent,
     span,
+    synthesis,
     synthesize,
     synthesize_p,
+    torsion,
     unroll_template,
     verify_block_properties,
     verify_isomorphic_encoder,
 )
 from groupwindows.errors import InputError
 
-from conftest import oracle_isomorphic_encoder, random_staggered_group, subgroup, window_of
+from conftest import (
+    oracle_isomorphic_encoder,
+    random_mixed_group,
+    random_staggered_group,
+    subgroup,
+    window_of,
+)
 import oracles
 
 
@@ -397,3 +406,110 @@ def test_synthesize_refuses_failing_certificate(shift_template):
     cert = certify(shift_template, "order-controllable", window=6)
     with pytest.raises(InputError):
         synthesize(g6, certificate=cert)
+
+
+# ---------------------------------------------------------------- repeated work
+
+
+def _cert_bytes(cert):
+    return fileio.canonical_json_bytes(fileio.certificate_to_json(cert))
+
+
+def _reused_part_certificates(g, certificate=None):
+    """How many parts took G's certificate; every part's must equal a fresh one.
+
+    None when the synthesis is refused.
+    """
+    try:
+        result = synthesize(g, certificate=certificate, accept_undetermined=True)
+    except InputError:
+        return None
+    reused = 0
+    for part in result.decomposition.parts:
+        got = result.part_certificates[part.prime]
+        assert _cert_bytes(got) == _cert_bytes(order_controllability_certificate(part.subgroup))
+        reused += got is result.certificate
+    return reused
+
+
+def _pool(seed, count):
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        if made % 2 == 0:
+            g = random_staggered_group(rng, rng.choice((2, 3, 5)))
+        else:
+            g = random_mixed_group(rng)
+        if g is not None:
+            made += 1
+            yield g
+
+
+def test_part_certificates_equal_fresh_ones_on_a_pool():
+    outcomes = [_reused_part_certificates(g) for g in _pool(314, 200)]
+    done = [r for r in outcomes if r is not None]
+    assert len(done) >= 150
+    assert sum(r == 1 for r in done) >= 50  # a part certified by G's certificate
+    assert sum(r == 0 for r in done) >= 50  # parts certified afresh
+
+
+def test_part_certificates_equal_fresh_ones_on_closures(shift_template):
+    for n in range(2, 11):
+        assert _reused_part_certificates(closure_window(shift_template, n).group) == 1, n
+
+
+def test_part_certificates_with_max_index_are_fresh(shift_template):
+    groups = [closure_window(shift_template, 8).group] + list(_pool(99, 20))
+    reused = fresh = 0
+    for g in groups:
+        for k in range(1, g.window.length + 1):
+            cert = order_controllability_certificate(g, max_index=k)
+            r = _reused_part_certificates(g, cert)
+            if r is not None:
+                reused += r > 0
+                # a certificate cut short by max_index certifies no part
+                fresh += r == 0 and cert.notes["max_index"] < cert.notes["cap"]
+    assert reused >= 20 and fresh >= 20
+
+
+def _count_certifications(monkeypatch):
+    calls = []
+    real = synthesis.order_controllability_certificate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "order_controllability_certificate", counted)
+    return calls
+
+
+def test_one_certification_per_synthesize_of_a_p_group(shift_template, monkeypatch):
+    calls = _count_certifications(monkeypatch)
+    synthesize(closure_window(shift_template, 8).group)
+    assert len(calls) == 1
+
+
+def test_a_wider_part_margin_certifies_the_part_again(monkeypatch):
+    # the given presentation is narrower (margin 2) than the canonical one
+    # (margin 3) the part carries, so the part's certificate differs and fails
+    w = window_of([2], [2], [2], [2], [4])
+    g = subgroup(w, (1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 2))
+    calls = _count_certifications(monkeypatch)
+    with pytest.raises(InputError, match="2-part fails"):
+        synthesize(g)
+    assert len(calls) == 2
+
+
+def test_height_layers_are_built_on_demand(shift_template, monkeypatch):
+    # the closure at N = 8 has eight blocks of two layers; seven blocks stop
+    # at the top layer, so each command builds at most 8 + 1 of the 16
+    g = closure_window(shift_template, 8).group
+    built = []
+    real = torsion.height_layer
+    monkeypatch.setattr(torsion, "height_layer", lambda *a: built.append(a[2:]) or real(*a))
+    gs = synthesize(g).generating_sets[2]
+    assert len(built) <= 9
+    built.clear()
+    assert verify_block_properties(gs, g).passed()
+    assert len(built) <= 9
