@@ -181,8 +181,11 @@ def cmd_verify(args) -> int:
     dec = primary_decompose(group)
     entries = []
     if isinstance(payload, dict) and "files" in payload:
+        files = payload["files"]
+        if not isinstance(files, dict) or not all(isinstance(n, str) for n in files.values()):
+            raise InputError(f"{args.encoder}.files: expected an object of file names")
         base = Path(args.encoder).parent
-        for p_str, name in sorted(payload["files"].items()):
+        for p_str, name in sorted(files.items()):
             entries.append(fileio.load_encoder_file(str(base / name)))
     else:
         entries.append(fileio.parse_encoder(payload, where=args.encoder))

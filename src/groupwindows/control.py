@@ -5,6 +5,13 @@ A certificate records, for one property and one window length, a verdict
 n_i per prefix depth i where the property asks for one, a machine-checkable
 witness on failure, and per-index stabilization flags.
 
+Matching.  Depth i is matched at support bound n when the members supported
+in [1, n] reach every [1, i]-prefix of G; the prefix projections are nested,
+so this reads |G_[1,n]| * |G_[i+1,N]| == |G| * |G_[i+1,n]|.  Every section
+order comes off one echelon per start coordinate, and all three
+controllability scans test this identity first; only a failure builds the
+subgroups its witness is read from.
+
 Window policy.  The properties are statements about infinite products, so a
 finite window can only answer honestly inside a safety strip: with margin w
 (the widest generator in the narrowest presentation at hand), prefixes and
@@ -17,8 +24,9 @@ index gets a flag recording whether it survived the growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 from math import gcd
+from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError
@@ -67,30 +75,37 @@ class Certificate:
 
 
 class _Scans:
-    """Subgroups shared by the index searches of one certificate computation.
+    """Section orders and subgroups shared by the index searches of one certificate.
 
-    P_n is the projection of G onto [1, n] and S_n the projection of its
-    members supported in [1, n]; X[q] is the subgroup of X killed by q.
+    G_[a,b] is the section of G on [a, b], P_n the projection of G onto
+    [1, n] and S_n the projection of G_[1,n]; X[q] is the subgroup of X
+    killed by q.  Nothing here outlives the certificate it serves.
     """
 
     def __init__(self, g: WindowSubgroup):
         self.g = g
-        self._proj_of_g: dict[int, WindowSubgroup] = {}
+        self._orders: dict[int, list[int]] = {}
         self._torsion: dict[int, tuple[list, list]] = {}
 
-    @cached_property
-    def _section_rows(self) -> list:
-        """An echelon basis of G whose row f has its last nonzero entry at flat f."""
-        return _ending_rows(self.g.basis)
+    def section_order(self, a: int, b: int) -> int:
+        """|G_[a,b]|, and 1 when b < a.
 
-    def proj_g(self, i: int) -> WindowSubgroup:
-        if i not in self._proj_of_g:
-            self._proj_of_g[i] = project(self.g, (1, i))
-        return self._proj_of_g[i]
-
-    def proj_sect(self, i: int, n: int) -> WindowSubgroup:
-        """The projection onto [1, i] of the members of G supported in [1, n]."""
-        return self._prefix_span(self._section_rows, i, n)
+        G's basis rows from the first flat s of coordinate a on span the
+        members vanishing before a.  In their echelon by last nonzero entry
+        the rows ending inside [a, b] span G_[a,b], so its order is the
+        product of m_f / d_f over those flats, d_f the diagonal entry.  The
+        running products for one start a are built on first use.
+        """
+        if b < a:
+            return 1
+        window = self.g.window
+        s = window.coord_slices[a - 1][0]
+        table = self._orders.get(a)
+        if table is None:
+            rows = _ending_rows([row[s:] for row in self.g.basis[s:]])
+            ratios = (m // rows[k][k] for k, m in enumerate(window.flat_orders[s:]))
+            table = self._orders[a] = list(accumulate(ratios, mul, initial=1))
+        return table[window.coord_slices[b - 1][1] - s]
 
     def _prefix_span(self, rows, i: int, n: int, extra=()) -> WindowSubgroup:
         """The span on [1, i] of ``extra`` and of the rows ending inside [1, n]."""
@@ -136,26 +151,37 @@ def _ending_rows(basis) -> list:
 def controllability_index(g: WindowSubgroup, i: int, cap: int) -> Optional[int]:
     """Least n in [i, cap] with every [1,i]-prefix of G matched inside [1, n].
 
-    Decided by the subgroup identity: the projection of G onto [1, i] equals
-    the projection of the members supported in [1, n].  Returns None when no
-    n up to cap works.
+    Decided by section orders, |G_[1,n]| |G_[i+1,N]| == |G| |G_[i+1,n]|
+    (``_matched``).  Returns None when no n up to cap works.
     """
     _check_index_args(g, i, cap)
-    scans = _Scans(g)
-    return _ctrl_index(scans, i, cap)
+    return _index(_Scans(g), i, cap)
 
 
 def _check_index_args(g: WindowSubgroup, i: int, cap: int):
     if not (1 <= i <= cap <= g.window.length):
-        raise InputError(
-            f"need 1 <= i <= cap <= N, got i={i}, cap={cap}, N={g.window.length}"
-        )
+        raise InputError(f"need 1 <= i <= cap <= N, got i={i}, cap={cap}, N={g.window.length}")
 
 
-def _ctrl_index(scans: _Scans, i: int, cap: int, start: int = 1) -> Optional[int]:
-    target = scans.proj_g(i)
+def _matched(scans: _Scans, i: int, n: int) -> bool:
+    """pi_[1,i](G_[1,n]) == pi_[1,i](G), for i <= n, by section orders.
+
+    The left side lies in the right, and the two projections have kernels
+    G_[i+1,n] and G_[i+1,N], so they are equal exactly when
+    |G_[1,n]| * |G_[i+1,N]| == |G| * |G_[i+1,n]|.
+    """
+    order = scans.section_order
+    N = scans.g.window.length
+    return order(1, n) * order(i + 1, N) == order(1, N) * order(i + 1, n)
+
+
+def _index(
+    scans: _Scans, i: int, cap: int, *, order: bool = False, start: int = 1
+) -> Optional[int]:
+    """Least n in [max(i, start), cap] that is matched, and with ``order``
+    passes the order condition too; None when no such n exists."""
     for n in range(max(i, start), cap + 1):
-        if scans.proj_sect(i, n) == target:
+        if _matched(scans, i, n) and (not order or _order_condition_holds(scans, i, n)):
             return n
     return None
 
@@ -163,14 +189,13 @@ def _ctrl_index(scans: _Scans, i: int, cap: int, start: int = 1) -> Optional[int
 def _order_condition_holds(scans: _Scans, i: int, n: int) -> bool:
     """Every w in P_n has a z in S_n with w's [1, i]-prefix and order dividing w's.
 
-    The members of order dividing q that are matched form a subgroup, so the
-    condition reads pi_[1,i](P_n[q]) inside pi_[1,i](S_n[q]) for every prime
-    power q, an equality since S_n lies in P_n.  Both sides split by primes,
-    and at a power of p that kills the p-part of G the test is that part of
-    the controllability identity, checked first; smaller powers follow.
+    Called on a matched pair (i, n).  The members of order dividing q that
+    are matched form a subgroup, so the condition reads pi_[1,i](P_n[q])
+    inside pi_[1,i](S_n[q]) for every prime power q, an equality since S_n
+    lies in P_n.  Both sides split by primes, and at a power of p that kills
+    the p-part of G the test is that part of the matching identity, which
+    holds; the smaller powers are tested here.
     """
-    if scans.proj_sect(i, n) != scans.proj_g(i):
-        return False
     e = scans.g.exponent()
     for p in scans.g.window.primes():
         q = p
@@ -187,13 +212,10 @@ def _order_witness(scans: _Scans, i: int, cap: int) -> Element:
     A companion of w of order dividing q exists exactly when w lies in
     S_cap[q] plus the members of [1, cap] vanishing on [1, i].
     """
-    window = scans.proj_g(cap).window
-    free = []
-    for f in range(window.flat_slice((1, i))[1], window.flat_length):
-        free.append([1 if k == f else 0 for k in range(window.flat_length)])
-    return least_outside(
-        scans.proj_g(cap), lambda q: scans.order_offer(cap, cap, q, free)
-    )
+    proj = project(scans.g, (1, cap))
+    F = proj.window.flat_length
+    free = [[int(k == f) for k in range(F)] for f in range(scans.g.window.flat_slice((1, i))[1], F)]
+    return least_outside(proj, lambda q: scans.order_offer(cap, cap, q, free))
 
 
 def _lift_prefix(g: WindowSubgroup, prefix_elem: Element, n: int) -> Element:
@@ -219,29 +241,27 @@ def order_controllability_index(
     """
     _check_index_args(g, i, cap)
     scans = _Scans(g)
-    return _order_index(scans, i, cap)
+    n = _index(scans, i, cap, order=True)
+    if n is not None:
+        return n, None, None
+    return (None, *_failure(scans, i, cap, order=True))
 
 
-def _order_index(scans: _Scans, i: int, cap: int, start: int = 1):
-    for n in range(max(i, start), cap + 1):
-        if _order_condition_holds(scans, i, n):
-            return n, None, None
-    proj = _order_witness(scans, i, cap)
-    witness = _lift_prefix(scans.g, proj, cap)
-    context = {
-        "i": i,
-        "n": cap,
-        "projection_order": proj.order(),
-        "reason": "order-obstruction",
-    }
-    return None, witness, context
+def _failure(scans: _Scans, i: int, cap: int, order: bool) -> tuple[Element, dict]:
+    """The witness and context of a depth i that no support bound up to cap serves.
 
-
-def _controllability_witness(scans: _Scans, i: int, cap: int):
-    """An element of G whose [1, i]-prefix no member supported in [1, cap] matches."""
-    prefix = least_outside(scans.proj_g(i), scans.proj_sect(i, cap))
-    lift = _lift_prefix(scans.g, prefix, i)
-    return lift, {"i": i, "n": cap, "projection_order": prefix.order()}
+    Without ``order`` the witness is a member of G whose [1, i]-prefix no
+    member supported in [1, cap] matches.
+    """
+    g = scans.g
+    context = {"i": i, "n": cap}
+    if order:
+        proj = _order_witness(scans, i, cap)
+        context["reason"] = "order-obstruction"
+    else:
+        proj = least_outside(project(g, (1, i)), project(section(g, (1, cap)), (1, i)))
+    context["projection_order"] = proj.order()
+    return _lift_prefix(g, proj, proj.window.length), context
 
 
 def _check_max_index(max_index: Optional[int]):
@@ -250,37 +270,8 @@ def _check_max_index(max_index: Optional[int]):
 
 
 def _resolve_margin(g: WindowSubgroup, template: Optional[TemplateSpec]) -> int:
-    margins = [g.presentation_margin()]
-    if template is not None:
-        margins.append(template.margin())
-    margins = [m for m in margins if m > 0]
-    return min(margins) if margins else 0
-
-
-def _engine(
-    g: WindowSubgroup,
-    *,
-    order: bool,
-    max_index: int,
-    cap: int,
-):
-    """Run the index scan; returns (indices, failure or None)."""
-    scans = _Scans(g)
-    indices: dict[int, int] = {}
-    for i in range(1, max_index + 1):
-        # n_i never decreases in i: a pair (i + 1, n) that holds implies (i, n)
-        start = indices.get(i - 1, 1)
-        if order:
-            n, witness, context = _order_index(scans, i, cap, start)
-        else:
-            n = _ctrl_index(scans, i, cap, start)
-            witness = context = None
-            if n is None:
-                witness, context = _controllability_witness(scans, i, cap)
-        if n is None:
-            return indices, (i, witness, context)
-        indices[i] = n
-    return indices, None
+    margins = (g.presentation_margin(), template.margin() if template is not None else 0)
+    return min((m for m in margins if m > 0), default=0)
 
 
 def _plan(prop: str, n_window: int, margin: int, max_index: Optional[int]):
@@ -304,20 +295,22 @@ def _plan(prop: str, n_window: int, margin: int, max_index: Optional[int]):
     return trusted, cap
 
 
-def _certify_on_group(
-    g: WindowSubgroup,
-    prop: str,
-    *,
-    order: bool,
-    margin: int,
-    max_index: Optional[int],
+def _engine(
+    g: WindowSubgroup, prop: str, *, margin: int, max_index: Optional[int]
 ) -> tuple[dict, Optional[tuple], int, int, str]:
+    """Plan and run the index scan: (indices, failure or None, cap, testable, status)."""
     testable, cap = _plan(prop, g.window.length, margin, max_index)
     if testable < 1 or cap < 1:
         return {}, None, cap, testable, UNDETERMINED
-    indices, failure = _engine(g, order=order, max_index=testable, cap=cap)
-    if failure is not None:
-        return indices, failure, cap, testable, FAILS
+    order = prop == "order-controllable"
+    scans = _Scans(g)
+    indices: dict[int, int] = {}
+    for i in range(1, testable + 1):
+        # n_i never decreases in i: a pair (i + 1, n) that holds implies (i, n)
+        n = _index(scans, i, cap, order=order, start=indices.get(i - 1, 1))
+        if n is None:
+            return indices, (i, *_failure(scans, i, cap, order)), cap, testable, FAILS
+        indices[i] = n
     return indices, None, cap, testable, HOLDS
 
 
@@ -329,7 +322,6 @@ def _controllability_certificate(
     max_index: Optional[int] = None,
 ) -> Certificate:
     _check_max_index(max_index)
-    order = prop == "order-controllable"
     template = source if isinstance(source, TemplateSpec) else None
     if template is not None:
         if window is None:
@@ -351,8 +343,8 @@ def _controllability_certificate(
         and prop in ("controllable", "order-controllable")
         and 0 < margin >= g.window.length
     )
-    indices, failure, cap, testable, status = _certify_on_group(
-        g, prop, order=order, margin=0 if universe_mode else margin, max_index=max_index
+    indices, failure, cap, testable, status = _engine(
+        g, prop, margin=0 if universe_mode else margin, max_index=max_index
     )
 
     stabilization: dict[int, bool] = {}
@@ -364,9 +356,7 @@ def _controllability_certificate(
         growth = max(margin, 1)
         g2 = unroll_template(template, window + growth).group
         margin2 = _resolve_margin(g2, template)
-        indices2, failure2, *_ = _certify_on_group(
-            g2, prop, order=order, margin=margin2, max_index=testable
-        )
+        indices2, failure2, *_ = _engine(g2, prop, margin=margin2, max_index=testable)
         for i, n in indices.items():
             stabilization[i] = indices2.get(i) == n
         if failure is not None:
@@ -384,8 +374,7 @@ def _controllability_certificate(
         for i, n in indices.items():
             stabilization[i] = n <= trusted
 
-    witness = failure[1] if failure else None
-    context = failure[2] if failure else None
+    _, witness, context = failure or (None, None, None)
     notes = {
         "margin": margin,
         "cap": cap,
@@ -520,16 +509,13 @@ def is_weakly_observable(
     if h_big.window.subwindow((1, n_small)) != h.window:
         raise InputError("snapshots disagree on the shared coordinate range")
 
-    def verdict(depth: int):
-        matchable = project(h_big, (1, depth))
-        actual = project(section(h_big, (1, depth)), (1, depth))
-        return matchable, actual, matchable == actual
-
-    matchable, actual, ok = verdict(n_small)
+    scans = _Scans(h_big)
+    ok = _matched(scans, n_small, n_small)
+    actual = project(section(h_big, (1, n_small)), (1, n_small))
     witness = None
     context = None
     if not ok:
-        witness = least_outside(matchable, actual).embed(h_big.window, (1, n_small))
+        witness = least_outside(project(h_big, (1, n_small)), actual).embed(h_big.window, (1, n_small))
         context = {
             "depth": n_small,
             "reason": "prefix-matchable element with no finite-support member",
@@ -537,7 +523,7 @@ def is_weakly_observable(
     section_stable = actual == project(h, (1, n_small))
     flags = {n_small: section_stable}
     if n_small > 1:
-        _, _, ok_prev = verdict(n_small - 1)
+        ok_prev = _matched(scans, n_small - 1, n_small - 1)
         flags[n_small] = section_stable and (ok_prev == ok)
     return Certificate(
         property="weakly-observable",

@@ -35,6 +35,9 @@ def load_json(path: str):
         raise InputError(f"{path}: file not found")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, non-UTF-8 bytes, an overlong integer, or too deep nesting
+        raise InputError(f"{path}: cannot read as JSON: {exc}")
 
 
 def write_json(path: str, payload):
@@ -170,14 +173,16 @@ def parse_template(payload, where: str = "template") -> TemplateSpec:
             )
         )
     fixed = []
-    for k, raw in enumerate(payload.get("fixed_generators", [])):
+    fixed_raw = _expect_list(payload.get("fixed_generators", []), f"{where}.fixed_generators")
+    for k, raw in enumerate(fixed_raw):
         if not isinstance(raw, dict) or "support" not in raw:
             raise InputError(f"{where}.fixed_generators[{k}]: missing key 'support'")
         fixed.append(
             FixedGenerator(_parse_support_map(raw["support"], f"{where}.fixed_generators[{k}].support", key_base=1))
         )
     shifted = []
-    for k, raw in enumerate(payload.get("shifted_generators", [])):
+    shifted_raw = _expect_list(payload.get("shifted_generators", []), f"{where}.shifted_generators")
+    for k, raw in enumerate(shifted_raw):
         if not isinstance(raw, dict):
             raise InputError(f"{where}.shifted_generators[{k}]: expected an object")
         for need in ("start", "stride", "pattern"):
@@ -323,7 +328,10 @@ def parse_encoder(payload, where: str = "encoder") -> tuple[GeneratingSet, Produ
         )
     coords = payload.get("coordinates")
     if coords is not None:
-        coords = [_expect_int(c, f"{where}.coordinates[{k}]") for k, c in enumerate(coords)]
+        coords = [
+            _expect_int(c, f"{where}.coordinates[{k}]")
+            for k, c in enumerate(_expect_list(coords, f"{where}.coordinates"))
+        ]
     return gs, window, coords
 
 

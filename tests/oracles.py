@@ -51,19 +51,11 @@ def naive_span(gens, mods):
     return seen
 
 
-def support(flat, slices):
-    out = []
-    for i, (s, e) in enumerate(slices, start=1):
-        if any(flat[s:e]):
-            out.append(i)
-    return out
-
-
 def naive_section(span_set, slices, interval):
+    """The members supported inside ``interval``: zero at every flat outside it."""
     lo, hi = interval
-    return {
-        v for v in span_set if all(lo <= c <= hi for c in support(v, slices))
-    }
+    s, e = slices[lo - 1][0], slices[hi - 1][1]
+    return {v for v in span_set if not any(v[:s]) and not any(v[e:])}
 
 
 def naive_project(span_set, slices, interval):
@@ -223,6 +215,23 @@ def _order_profiles(g, n):
     return listed
 
 
+@lru_cache(maxsize=16)
+def _listed(g):
+    """G's members as flat tuples, with its window's coordinate slices and moduli."""
+    mods = list(g.window.flat_orders)
+    slices = coord_slices([c.factor_orders for c in g.window.components])
+    return naive_span([x.flat for x in g.generators], mods), slices, mods
+
+
+@lru_cache(maxsize=1024)
+def _listed_matched(g, i, n):
+    return naive_controllability_ok(*_listed(g), i, n)
+
+
+def _enum_matched(scans, i, n):
+    return _listed_matched(scans.g, i, n)
+
+
 def _order_failures(scans, i, n):
     plen = scans.g.window.flat_slice((1, i))[1]
     return naive_order_failures(*_order_profiles(scans.g, n), plen)
@@ -247,18 +256,21 @@ def _enum_least_outside(a, b):
 
 @contextmanager
 def enumeration_reference():
-    """Certify with every order condition and witness found by listing elements.
+    """Certify with every matching decision and witness found by listing elements.
 
-    Inside the block, ``groupwindows.control`` decides the order condition
-    and picks the order-controllability, controllability, rectangularity and
+    Inside the block, ``groupwindows.control`` decides whether a prefix
+    depth is matched at a support bound (the controllability and
+    weak-observability decisions), decides the order condition, and picks
+    the order-controllability, controllability, rectangularity and
     weak-observability witnesses by listing elements, as it did before it
-    decided them by lattice inclusions.  The subgroups listed (projections
-    and sections) and the margins, windows and stabilization stay the
-    library's.
+    decided them by section orders and lattice inclusions.  The subgroups
+    listed (G, its projections and sections) and the margins, windows and
+    stabilization stay the library's.
     """
     from groupwindows import control
 
     swaps = {
+        "_matched": _enum_matched,
         "_order_condition_holds": _enum_order_condition_holds,
         "_order_witness": _enum_order_witness,
         "least_outside": _enum_least_outside,

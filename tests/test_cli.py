@@ -395,3 +395,60 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     for _ in range(2):
         assert main(["decompose", "--input", path, "--out", str(tmp_path / "d.json")]) == 0
     assert len(built) == 1
+
+
+def _manifest(tmp_path, edit):
+    """A synthesized encoder manifest for Z(2), changed by ``edit``, and its verify argv."""
+    group = write(tmp_path, "g.json", {"components": [[2]], "generators": [[[1]]]})
+    out = tmp_path / "enc.json"
+    assert main(["synthesize", "--input", group, "--out", str(out)]) == 0
+    manifest = json.loads(out.read_text())
+    edit(manifest, tmp_path)
+    out.write_text(json.dumps(manifest))
+    return ["verify", "--input", group, "--encoder", str(out)]
+
+
+def _raw_input(text):
+    def build(tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        return ["check", "--input", str(path), "--property", "rectangular"]
+
+    return build
+
+
+def _template_input(**extra):
+    return _raw_input(json.dumps({"component_template": {"period": 1, "orders": [[2]]}, **extra}))
+
+
+def _encoder_coordinates(manifest, tmp_path):
+    enc = tmp_path / manifest["files"]["2"]
+    payload = json.loads(enc.read_text())
+    payload["coordinates"] = 5
+    enc.write_text(json.dumps(payload))
+
+
+MALFORMED_INPUTS = {
+    "directory": lambda tmp_path: ["check", "--input", str(tmp_path), "--property", "rectangular"],
+    "integer-over-digit-limit": _raw_input('{"components": [[' + "1" * 5000 + ']], "generators": []}'),
+    "not-utf8": _raw_input(b'{"components": [[2]], "generators": [], "x": "\xff"}'),
+    "nested-too-deep": _raw_input("[" * 200_000 + "]" * 200_000),
+    "template-fixed-not-list": _template_input(fixed_generators=5),
+    "template-shifted-not-list": _template_input(shifted_generators=7),
+    "encoder-coordinates-not-list": lambda tmp_path: _manifest(tmp_path, _encoder_coordinates),
+    "manifest-files-not-object": lambda tmp_path: _manifest(
+        tmp_path, lambda m, _: m.update(files=["enc.p2.json"])
+    ),
+    "manifest-file-name-not-string": lambda tmp_path: _manifest(
+        tmp_path, lambda m, _: m.update(files={"2": 5})
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_3(case, tmp_path, capsys):
+    # exit 1 means "fails"; an unreadable or ill-typed file is an input error
+    argv = MALFORMED_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "input error:" in capsys.readouterr().err

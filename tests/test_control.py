@@ -23,7 +23,7 @@ from groupwindows import (
 from groupwindows.control import FAILS, HOLDS, UNDETERMINED
 from groupwindows.errors import InputError
 
-from conftest import random_staggered_group, subgroup, window_of
+from conftest import random_mixed_group, random_staggered_group, subgroup, window_of
 import oracles
 
 
@@ -139,13 +139,13 @@ def test_index_scans_start_at_the_previous_index(monkeypatch):
     gens = [[int(k <= j < k + 3) for j in range(n)] for k in range(n - 2)]
     g = subgroup(window_of(*[[2]] * n), *gens)
     scanned = []
-    real = control._Scans.proj_sect
+    real = control._matched
 
-    def proj_sect(scans, i, m):
+    def matched(scans, i, m):
         scanned.append((i, m))
         return real(scans, i, m)
 
-    monkeypatch.setattr(control._Scans, "proj_sect", proj_sect)
+    monkeypatch.setattr(control, "_matched", matched)
     for certify_with in (controllability_certificate, order_controllability_certificate):
         scanned.clear()
         cert = certify_with(g, max_index=7)
@@ -154,6 +154,72 @@ def test_index_scans_start_at_the_previous_index(monkeypatch):
         expected = [(i, m) for i, lo in zip(range(1, 8), starts) for m in range(max(i, lo), i + 3)]
         assert scanned == expected
         assert len(scanned) == 15 < sum(n_i - i + 1 for i, n_i in cert.indices.items())
+
+
+def _section_order_pool(shift_template):
+    """The seeded staggered/mixed pool, windows with empty and multi-factor
+    components, and the running example's closures at N = 2..10."""
+    rng = random.Random(2718)
+    pool = []
+    while len(pool) < 200:
+        if len(pool) % 2 == 0:
+            g = random_staggered_group(rng, rng.choice((2, 3, 5)))
+        else:
+            g = random_mixed_group(rng)
+        if g is not None:
+            pool.append(g)
+    shapes = [(), (2,), (4,), (2, 4), (3, 9), (2, 3)]
+    while len(pool) < 260:
+        w = window_of(*[rng.choice(shapes) for _ in range(rng.randint(2, 5))])
+        if w.flat_length:
+            gens = [[rng.randrange(m) * (rng.random() < 0.5) for m in w.flat_orders] for _ in range(3)]
+            pool.append(subgroup(w, *gens))
+    return pool + [closure_window(shift_template, n).group for n in range(2, 11)]
+
+
+def test_section_order_is_the_section_order(shift_template):
+    for g in _section_order_pool(shift_template):
+        scans = control._Scans(g)
+        n = g.window.length
+        for a in range(1, n + 1):
+            assert scans.section_order(a, a - 1) == 1
+            for b in range(a, n + 1):
+                assert scans.section_order(a, b) == section(g, (a, b)).order(), (g, a, b)
+
+
+def test_matching_identity_is_prefix_equality(shift_template):
+    # |G_[1,n]| |G_[i+1,N]| == |G| |G_[i+1,n]| exactly when the members
+    # supported in [1, n] reach every [1, i]-prefix of G
+    for g in _section_order_pool(shift_template):
+        scans = control._Scans(g)
+        for n in range(1, g.window.length + 1):
+            reach = section(g, (1, n))
+            for i in range(1, n + 1):
+                equal = project(reach, (1, i)) == project(g, (1, i))
+                assert control._matched(scans, i, n) == equal, (g, i, n)
+
+
+def test_controllability_certificate_builds_few_lattice_bases(monkeypatch):
+    # the width-3 group below at N = 24: one table per start coordinate, not
+    # one echelon per (i, n) pair
+    from groupwindows import window as window_module
+
+    n = 24
+    gens = [[int(k <= j < k + 3) for j in range(n)] for k in range(n - 2)]
+    g = subgroup(window_of(*[[2]] * n), *gens)
+    calls = []
+    for module in (window_module, control):
+        real = module.row_lattice_basis
+
+        def counted(*args, real=real):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(module, "row_lattice_basis", counted)
+    cert = controllability_certificate(g)
+    # the last trusted depth, 20, would need support up to 22 > cap = 21
+    assert cert.status == FAILS and cert.indices == {i: i + 2 for i in range(1, 20)}
+    assert len(calls) <= n + 2
 
 
 # ---------------------------------------------------------------- certificates
