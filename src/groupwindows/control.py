@@ -8,9 +8,9 @@ witness on failure, and per-index stabilization flags.
 Matching.  Depth i is matched at support bound n when the members supported
 in [1, n] reach every [1, i]-prefix of G; the prefix projections are nested,
 so this reads |G_[1,n]| * |G_[i+1,N]| == |G| * |G_[i+1,n]|.  Every section
-order comes off one echelon per start coordinate, and all three
-controllability scans test this identity first; only a failure builds the
-subgroups its witness is read from.
+order comes off one echelon per start coordinate.  The order condition is
+this identity on G[q] plus one identity of suffix sections of qG, per prime
+power q; only a failure builds the subgroups its witness is read from.
 
 Window policy.  The properties are statements about infinite products, so a
 finite window can only answer honestly inside a safety strip: with margin w
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd
 from operator import mul
 from typing import Optional, Union
 
@@ -36,7 +35,6 @@ from .window import (
     Element,
     WindowSubgroup,
     combine,
-    kernel_rows,
     least_outside,
     membership_coefficients,
     project,
@@ -75,7 +73,7 @@ class Certificate:
 
 
 class _Scans:
-    """Section orders and subgroups shared by the index searches of one certificate.
+    """Section orders shared by the index searches of one certificate.
 
     G_[a,b] is the section of G on [a, b], P_n the projection of G onto
     [1, n] and S_n the projection of G_[1,n]; X[q] is the subgroup of X
@@ -84,17 +82,26 @@ class _Scans:
 
     def __init__(self, g: WindowSubgroup):
         self.g = g
+        self.suffix_orders = _suffix_orders(g)
+        self._prefix_rows: Optional[list] = None
         self._orders: dict[int, list[int]] = {}
-        self._torsion: dict[int, tuple[list, list]] = {}
+        self._torsion: dict[int, _Scans] = {}
+        self._divided: dict[tuple[int, int], list[int]] = {}
+
+    def prefix_rows(self) -> list:
+        """G's basis in echelon by last nonzero entry, the rows of the start-1 table."""
+        if self._prefix_rows is None:
+            self._prefix_rows = _ending_rows(self.g.basis)
+        return self._prefix_rows
 
     def section_order(self, a: int, b: int) -> int:
         """|G_[a,b]|, and 1 when b < a.
 
         G's basis rows from the first flat s of coordinate a on span the
-        members vanishing before a.  In their echelon by last nonzero entry
-        the rows ending inside [a, b] span G_[a,b], so its order is the
-        product of m_f / d_f over those flats, d_f the diagonal entry.  The
-        running products for one start a are built on first use.
+        members vanishing before a, so |G_[a,N]| is the product of m_f / d_f
+        over the flats from s on, d_f the diagonal entry.  In their echelon by
+        last nonzero entry the rows ending inside [a, b] span G_[a,b]; its order
+        is the running product over their flats with that echelon's diagonal.
         """
         if b < a:
             return 1
@@ -102,40 +109,31 @@ class _Scans:
         s = window.coord_slices[a - 1][0]
         table = self._orders.get(a)
         if table is None:
-            rows = _ending_rows([row[s:] for row in self.g.basis[s:]])
+            if b == window.length:
+                return self.suffix_orders[s]
+            rows = self.prefix_rows() if a == 1 else _ending_rows([r[s:] for r in self.g.basis[s:]])
             ratios = (m // rows[k][k] for k, m in enumerate(window.flat_orders[s:]))
             table = self._orders[a] = list(accumulate(ratios, mul, initial=1))
         return table[window.coord_slices[b - 1][1] - s]
 
-    def _prefix_span(self, rows, i: int, n: int, extra=()) -> WindowSubgroup:
-        """The span on [1, i] of ``extra`` and of the rows ending inside [1, n]."""
-        window = self.g.window
-        width = window.flat_slice((1, i))[1]
-        rows = [*rows[: window.flat_slice((1, n))[1]], *extra]
-        return WindowSubgroup.from_rows(window.subwindow((1, i)), [r[:width] for r in rows])
-
-    def torsion_rows(self, q: int) -> tuple[list, list]:
-        """Echelon rows of G[q] by last nonzero flat, and lifts by first one.
-
-        q*x vanishes at flat f exactly when t_f = m_f / gcd(m_f, q) divides
-        x_f, so the kernel rows for these t span G[q], and with the lifts
-        from flat e on they generate the members of G that q sends to
-        elements vanishing before flat e.
-        """
+    def torsion(self, q: int) -> "_Scans":
+        """The scans of G[q]."""
         if q not in self._torsion:
-            kernel, lifts = kernel_rows(self.g, [m // gcd(m, q) for m in self.g.window.flat_orders])
-            self._torsion[q] = (_ending_rows(kernel), lifts)
+            self._torsion[q] = _Scans(torsion_subgroup(self.g, q))
         return self._torsion[q]
 
-    def order_demand(self, i: int, n: int, q: int) -> WindowSubgroup:
-        """pi_[1,i](P_n[q]): the [1, i]-prefixes of the x in G with q*x zero on [1, n]."""
-        kernel, lifts = self.torsion_rows(q)
-        width = self.g.window.flat_slice((1, n))[1]
-        return self._prefix_span(kernel, i, self.g.window.length, lifts[width:])
+    def divided(self, q: int, e: int) -> list:
+        """The suffix orders of q times the members of G vanishing before flat e."""
+        if (q, e) not in self._divided:
+            rows = [[q * x for x in r] for r in self.g.basis[e:]]
+            self._divided[q, e] = _suffix_orders(WindowSubgroup.from_rows(self.g.window, rows))
+        return self._divided[q, e]
 
-    def order_offer(self, i: int, n: int, q: int, extra=()) -> WindowSubgroup:
-        """pi_[1,i](S_n[q]), spanned together with ``extra``."""
-        return self._prefix_span(self.torsion_rows(q)[0], i, n, extra)
+
+def _suffix_orders(h: WindowSubgroup) -> list:
+    """|H_[a,N]| at the first flat of coordinate a, 1 past the last (``_Scans.section_order``)."""
+    ratios = [m // row[f] for f, (m, row) in enumerate(zip(h.window.flat_orders, h.basis))]
+    return list(accumulate(ratios[::-1], mul, initial=1))[::-1]
 
 
 def _ending_rows(basis) -> list:
@@ -189,18 +187,22 @@ def _index(
 def _order_condition_holds(scans: _Scans, i: int, n: int) -> bool:
     """Every w in P_n has a z in S_n with w's [1, i]-prefix and order dividing w's.
 
-    Called on a matched pair (i, n).  The members of order dividing q that
-    are matched form a subgroup, so the condition reads pi_[1,i](P_n[q])
-    inside pi_[1,i](S_n[q]) for every prime power q, an equality since S_n
-    lies in P_n.  Both sides split by primes, and at a power of p that kills
-    the p-part of G the test is that part of the matching identity, which
-    holds; the smaller powers are tested here.
+    Called on a matched pair (i, n).  The matched members of order dividing
+    q form a subgroup, so per prime power q the offer pi_[1,i](S_n[q]) must
+    equal the demand pi_[1,i](P_n[q]) containing it; matching covers a power
+    of p killing G's p-part.  Below it, equality is both bounds being tight:
+    (a) S_n[q] is G[q]_[1,n], so |offer| = |G[q]_[1,n]| / |G[q]_[i+1,n]|
+        <= |pi_[1,i](G[q])|, equal exactly when G[q] is matched at (i, n);
+    (b) |A[q]| = |A| / |qA| for P_n and for pi_[1,n](G_[i+1,N]), the kernel
+        of pi_[1,i] on P_n, gives |demand| = |pi_[1,i](G[q])| times the ratio
+        |(qG)_[n+1,N]| / |(q G_[i+1,N])_[n+1,N]| >= 1 of suffix orders (1 at n = N).
     """
-    e = scans.g.exponent()
+    e, divided = scans.g.exponent(), scans.divided
+    i_end, n_end = (scans.g.window.flat_slice((1, k))[1] for k in (i, n))  # n + 1 starts at n_end
     for p in scans.g.window.primes():
         q = p
         while e % (q * p) == 0:
-            if scans.order_offer(i, n, q) != scans.order_demand(i, n, q):
+            if divided(q, 0)[n_end] != divided(q, i_end)[n_end] or not _matched(scans.torsion(q), i, n):
                 return False
             q *= p
     return True
@@ -210,12 +212,17 @@ def _order_witness(scans: _Scans, i: int, cap: int) -> Element:
     """The (order, flat)-least w in P_cap with no companion of dividing order.
 
     A companion of w of order dividing q exists exactly when w lies in
-    S_cap[q] plus the members of [1, cap] vanishing on [1, i].
+    S_cap[q], the first rows of G[q]'s ``prefix_rows`` cut to [1, cap], plus
+    the members of [1, cap] vanishing on [1, i].
     """
     proj = project(scans.g, (1, cap))
     F = proj.window.flat_length
     free = [[int(k == f) for k in range(F)] for f in range(scans.g.window.flat_slice((1, i))[1], F)]
-    return least_outside(proj, lambda q: scans.order_offer(cap, cap, q, free))
+
+    def offer(q: int) -> WindowSubgroup:
+        return WindowSubgroup.from_rows(proj.window, [r[:F] for r in scans.torsion(q).prefix_rows()[:F]] + free)
+
+    return least_outside(proj, offer)
 
 
 def _lift_prefix(g: WindowSubgroup, prefix_elem: Element, n: int) -> Element:

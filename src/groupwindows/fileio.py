@@ -41,8 +41,11 @@ def load_json(path: str):
 
 
 def write_json(path: str, payload):
-    with open(path, "wb") as fh:
-        fh.write(canonical_json_bytes(payload))
+    try:
+        with open(path, "wb") as fh:
+            fh.write(canonical_json_bytes(payload))
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror or exc}")
 
 
 def _expect_list(value, where: str) -> list:
@@ -134,15 +137,18 @@ def load_group_file(path: str) -> WindowSubgroup:
     return parse_group(load_json(path), where=path)
 
 
+def _parse_index(key: str, where: str) -> int:
+    if not (key.isascii() and key.isdigit()):
+        raise InputError(f"{where}: key {key!r} is not a decimal index")
+    return int(key)
+
+
 def _parse_support_map(raw, where: str, *, key_base: int):
     if not isinstance(raw, dict):
         raise InputError(f"{where}: expected an object mapping indices to residue lists")
     items = []
     for key, val in raw.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise InputError(f"{where}: key {key!r} is not a decimal index")
+        idx = _parse_index(key, where)
         if idx < key_base:
             raise InputError(f"{where}: index {idx} below {key_base}")
         residues = tuple(
@@ -304,11 +310,7 @@ def parse_encoder(payload, where: str = "encoder") -> tuple[GeneratingSet, Produ
     if not isinstance(payload["n_sequence"], dict):
         raise InputError(f"{where}.n_sequence: expected an object")
     for key, val in payload["n_sequence"].items():
-        try:
-            idx = int(key)
-        except ValueError:
-            raise InputError(f"{where}.n_sequence: key {key!r} is not a decimal index")
-        n_seq[idx] = _expect_int(val, f"{where}.n_sequence[{key!r}]")
+        n_seq[_parse_index(key, f"{where}.n_sequence")] = _expect_int(val, f"{where}.n_sequence[{key!r}]")
     orders = [
         _expect_int(o, f"{where}.orders[{k}]")
         for k, o in enumerate(_expect_list(payload["orders"], f"{where}.orders"))

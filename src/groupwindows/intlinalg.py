@@ -11,7 +11,7 @@ The three workhorses are
   with a divisibility chain, U and V kept as logs of operations until read,
 * ``row_lattice_basis``: the canonical echelon basis of an integer row
   lattice (used for subgroup canonical forms, membership and every kernel
-  subgroup, see ``window.kernel_rows``),
+  subgroup, see ``window.kernel_subgroup``),
 * ``solve_mixed_modulus``: solve A x = b componentwise modulo a vector of
   moduli, the lattice form of "is this element a combination of these
   generators".

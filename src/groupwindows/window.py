@@ -11,12 +11,12 @@ read off it.  Subgroups are identified by a canonical lattice basis: the
 generator rows plus the relations m_f e_f span an integer lattice of full
 rank F, and its canonical echelon (Hermite) basis is the subgroup's identity
 card.  Kernels (sections, torsion subgroups, height layers) come from one
-echelon basis of pairs, ``kernel_rows``; the Smith normal form serves only
+echelon basis of pairs, ``kernel_subgroup``; the Smith normal form serves only
 the coefficient solver behind ``membership_coefficients``.  Elements are
 built only at the edges: file I/O, witnesses, and generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
-one is known: ``kernel_subgroup`` passes the kernel rows of ``kernel_rows``,
+one is known: ``kernel_subgroup`` passes the kernel rows of its echelon,
 ``project`` onto a prefix of flat width e passes G's first e basis rows cut
 to width e, and ``primary_decompose`` G's rows with a pivot at a p-power
 factor, cut to those factors.  By the uniqueness of the Hermite normal form
@@ -472,27 +472,17 @@ def project(g: WindowSubgroup, interval) -> WindowSubgroup:
     return WindowSubgroup.from_rows(g.window.subwindow(interval), rows, basis)
 
 
-def kernel_rows(g: WindowSubgroup, t) -> tuple[list, list]:
-    """Echelon rows of { x in G : t_f divides x_f at every flat f }, and lifts.
+def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
+    """The subgroup { x in G : t_f divides x_f at every flat factor f }.
 
-    One canonical echelon basis of the pairs (x mod t, x), x in G: the rows
-    (b | b) over G's basis and the relations (t_f e_f | 0).  Its last F rows
-    have a zero first half; their second halves are the canonical basis of
-    the kernel.  Row f of the first F rows has its first-half pivot at flat
-    f, so its second half is a member y with t_f' dividing y_f' before f: the
-    kernel and the lifts from flat e on span the members x with t_f | x_f
-    for every f < e.  Returns (kernel rows, lifts), each F rows of width F.
+    In the canonical echelon basis of the pairs (x mod t, x), x in G, over
+    the rows (b | b) for G's basis and (t_f e_f | 0), the last F rows have a
+    zero first half and the kernel's canonical basis as second half.
     """
     F = g.window.flat_length
     rows = [list(b) * 2 for b in g.basis]
     rows += [[tf if k == f else 0 for k in range(2 * F)] for f, tf in enumerate(t)]
-    ech = row_lattice_basis(rows, 2 * F)
-    return [r[F:] for r in ech[F:]], [r[F:] for r in ech[:F]]
-
-
-def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
-    """The subgroup { x in G : t_f divides x_f at every flat factor f }."""
-    kernel = kernel_rows(g, t)[0]
+    kernel = [r[F:] for r in row_lattice_basis(rows, 2 * F)[F:]]
     return WindowSubgroup.from_rows(g.window, kernel, tuple(map(tuple, kernel)))
 
 

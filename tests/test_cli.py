@@ -428,6 +428,30 @@ def _encoder_coordinates(manifest, tmp_path):
     enc.write_text(json.dumps(payload))
 
 
+def _encoder_n_sequence_key(manifest, tmp_path):
+    enc = tmp_path / manifest["files"]["2"]
+    payload = json.loads(enc.read_text())
+    payload["n_sequence"] = {f"+{k}": n for k, n in payload["n_sequence"].items()}
+    enc.write_text(json.dumps(payload))
+
+
+def _support_key(key):
+    # a fixed generator on coordinate "key"; int() would read each of these keys
+    def build(tmp_path):
+        argv = _template_input(fixed_generators=[{"support": {key: [1]}}])(tmp_path)
+        return argv + ["--window", "12"]
+
+    return build
+
+
+def _unwritable_out(out, command, *options):
+    def build(tmp_path):
+        group = write(tmp_path, "g.json", {"components": [[2]], "generators": [[[1]]]})
+        return [command, "--input", group, *options, "--out", str(out(tmp_path))]
+
+    return build
+
+
 MALFORMED_INPUTS = {
     "directory": lambda tmp_path: ["check", "--input", str(tmp_path), "--property", "rectangular"],
     "integer-over-digit-limit": _raw_input('{"components": [[' + "1" * 5000 + ']], "generators": []}'),
@@ -442,6 +466,13 @@ MALFORMED_INPUTS = {
     "manifest-file-name-not-string": lambda tmp_path: _manifest(
         tmp_path, lambda m, _: m.update(files={"2": 5})
     ),
+    "encoder-n-sequence-key-signed": lambda tmp_path: _manifest(tmp_path, _encoder_n_sequence_key),
+    "support-key-underscore": _support_key("1_0"),
+    "support-key-spaces": _support_key(" 3 "),
+    "support-key-signed": _support_key("+2"),
+    "support-key-arabic-indic-digit": _support_key("\u0663"),
+    "out-is-directory": _unwritable_out(lambda d: d, "check", "--property", "rectangular"),
+    "out-in-missing-directory": _unwritable_out(lambda d: d / "missing" / "enc.json", "synthesize"),
 }
 
 

@@ -199,14 +199,24 @@ def test_matching_identity_is_prefix_equality(shift_template):
                 assert control._matched(scans, i, n) == equal, (g, i, n)
 
 
-def test_controllability_certificate_builds_few_lattice_bases(monkeypatch):
-    # the width-3 group below at N = 24: one table per start coordinate, not
-    # one echelon per (i, n) pair
+def test_order_condition_matches_listing_at_every_matched_pair(shift_template):
+    # the two section-order identities against listing P_n and S_n, wherever
+    # the first test of order-controllable passes
+    for g in _section_order_pool(shift_template):
+        if g.window.length > 8:
+            continue
+        scans = control._Scans(g)
+        for n in range(1, g.window.length + 1):
+            for i in range(1, n + 1):
+                if control._matched(scans, i, n):
+                    expected = oracles._enum_order_condition_holds(scans, i, n)
+                    assert control._order_condition_holds(scans, i, n) == expected, (g, i, n)
+
+
+def _count_lattice_bases(monkeypatch):
+    """Patch ``row_lattice_basis`` where ``window`` and ``control`` call it; returns the call list."""
     from groupwindows import window as window_module
 
-    n = 24
-    gens = [[int(k <= j < k + 3) for j in range(n)] for k in range(n - 2)]
-    g = subgroup(window_of(*[[2]] * n), *gens)
     calls = []
     for module in (window_module, control):
         real = module.row_lattice_basis
@@ -216,10 +226,31 @@ def test_controllability_certificate_builds_few_lattice_bases(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(module, "row_lattice_basis", counted)
+    return calls
+
+
+def test_controllability_certificate_builds_few_lattice_bases(monkeypatch):
+    # the width-3 group below at N = 24: one table per start coordinate, not
+    # one echelon per (i, n) pair
+    n = 24
+    gens = [[int(k <= j < k + 3) for j in range(n)] for k in range(n - 2)]
+    g = subgroup(window_of(*[[2]] * n), *gens)
+    calls = _count_lattice_bases(monkeypatch)
     cert = controllability_certificate(g)
     # the last trusted depth, 20, would need support up to 22 > cap = 21
     assert cert.status == FAILS and cert.indices == {i: i + 2 for i in range(1, 20)}
     assert len(calls) <= n + 2
+
+
+def test_order_controllability_certificate_builds_few_lattice_bases(shift_template, monkeypatch):
+    # the closure at N = 24 holds with n_i = i: one basis of 2 G_[i+1,N] per
+    # depth, not the offer and demand echelons of each (i, n) with a table
+    n = 24
+    g = closure_window(shift_template, n).group
+    calls = _count_lattice_bases(monkeypatch)
+    cert = order_controllability_certificate(g)
+    assert cert.holds() and cert.indices == {i: i for i in cert.indices} and len(cert.indices) > 16
+    assert len(calls) <= 36
 
 
 # ---------------------------------------------------------------- certificates

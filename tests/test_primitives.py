@@ -1,9 +1,9 @@
 """Differential tests of the shared primitives against brute force.
 
-``kernel_subgroup``, the lifts of ``kernel_rows``, ``torsion_subgroup`` over
-an interval and ``height_layer`` are checked against filtering the
-exhaustive span, ``least_outside`` and ``least_in_difference`` against the
-least listed member outside, ``FpEchelon`` against exhaustive F_p spans, and
+``kernel_subgroup``, ``torsion_subgroup`` over an interval and
+``height_layer`` are checked against filtering the exhaustive span,
+``least_outside`` and ``least_in_difference`` against the least listed
+member outside, ``FpEchelon`` against exhaustive F_p spans, and
 ``_socle_solve`` by round trips through the socle elements it solves over.
 The bases that ``project``, ``kernel_subgroup`` and ``primary_decompose``
 take without a new echelon are checked against a fresh one.
@@ -18,7 +18,6 @@ from groupwindows.synthesis import _socle_solve
 from groupwindows.torsion import FpEchelon
 from groupwindows.torsion import height_layer
 from groupwindows.window import (
-    kernel_rows,
     kernel_subgroup,
     least_in_difference,
     least_outside,
@@ -135,19 +134,6 @@ def test_kernel_subgroup_d_torsion(g):
         t = [m // gcd(m, d) for m in mods]
         expected = {v for v in members if all((d * r) % m == 0 for r, m in zip(v, mods))}
         assert _flats(kernel_subgroup(g, t)) == expected
-
-
-@SETTINGS
-@given(small_groups(), st.data())
-def test_kernel_rows_lifts_span_the_members_divisible_before_each_flat(g, data):
-    mods = g.window.flat_orders
-    t = [data.draw(st.sampled_from(_divisors(m))) for m in mods]
-    kernel, lifts = kernel_rows(g, t)
-    assert len(kernel) == len(lifts) == len(mods)
-    members = oracles.naive_span([x.flat for x in g.generators], mods)
-    for e in range(len(mods) + 1):
-        expected = {v for v in members if all(v[f] % t[f] == 0 for f in range(e))}
-        assert oracles.naive_span(kernel + lifts[e:], mods) == expected
 
 
 @SETTINGS
