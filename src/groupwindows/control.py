@@ -34,11 +34,10 @@ from .templates import TemplateSpec, unroll_template
 from .window import (
     Element,
     WindowSubgroup,
-    combine,
     least_outside,
-    membership_coefficients,
     project,
     section,
+    solve_in_subgroup,
     torsion_subgroup,
 )
 
@@ -225,14 +224,6 @@ def _order_witness(scans: _Scans, i: int, cap: int) -> Element:
     return least_outside(proj, offer)
 
 
-def _lift_prefix(g: WindowSubgroup, prefix_elem: Element, n: int) -> Element:
-    """A canonical member of G whose [1, n]-projection equals the given element."""
-    coeffs = membership_coefficients(prefix_elem, g, interval=(1, n))
-    if coeffs is None:
-        raise InputError("prefix is not a projection of the subgroup")
-    return combine(g, coeffs)
-
-
 def order_controllability_index(
     g: WindowSubgroup, i: int, cap: int
 ) -> tuple[Optional[int], Optional[Element], Optional[dict]]:
@@ -268,7 +259,11 @@ def _failure(scans: _Scans, i: int, cap: int, order: bool) -> tuple[Element, dic
     else:
         proj = least_outside(project(g, (1, i)), project(section(g, (1, cap)), (1, i)))
     context["projection_order"] = proj.order()
-    return _lift_prefix(g, proj, proj.window.length), context
+    # a canonical member of G whose [1, i]- or [1, cap]-projection is proj
+    witness = solve_in_subgroup(g, proj, interval=(1, proj.window.length))
+    if witness is None:
+        raise InputError("prefix is not a projection of the subgroup")
+    return witness, context
 
 
 def _check_max_index(max_index: Optional[int]):
@@ -474,28 +469,17 @@ def is_rectangular(g: WindowSubgroup, *, max_index: Optional[int] = None) -> Cer
     )
 
 
-def is_weakly_observable(
-    h: WindowSubgroup,
-    ambient: Optional[WindowSubgroup] = None,
-    *,
-    h_big: Optional[WindowSubgroup] = None,
-) -> Certificate:
+def is_weakly_observable(h: WindowSubgroup, *, h_big: Optional[WindowSubgroup] = None) -> Certificate:
     """Window verdict for: the finite-support members of the closure all lie in H.
 
     With only one window available the closure of a listed subgroup is the
-    subgroup itself and the verdict trivially holds.  Given a second snapshot
-    of the same family on a longer window (``h_big``), the closure side
-    becomes the set of prefixes the long window can match on the short
-    window's range, and the member side the elements actually supported
-    there; the verdict compares the two, with stabilization flags reporting
-    whether the short snapshot already agreed.
+    subgroup itself and the verdict trivially holds, whatever group H sits
+    in.  Given a second snapshot of the same family on a longer window
+    (``h_big``), the closure side becomes the set of prefixes the long
+    window can match on the short window's range, and the member side the
+    elements actually supported there; the verdict compares the two, with
+    stabilization flags reporting whether the short snapshot already agreed.
     """
-    if ambient is not None:
-        if ambient.window != h.window:
-            raise InputError("H and its ambient group live in different windows")
-        for gen in h.canonical_generators:
-            if not ambient.contains(gen):
-                raise InputError("H is not contained in the ambient subgroup")
     n_small = h.window.length
     if h_big is None:
         return Certificate(

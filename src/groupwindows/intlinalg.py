@@ -17,7 +17,9 @@ The three workhorses are
   generators".
 
 Inside the library the Smith normal form serves only ``solve_mixed_modulus``,
-which applies the logs to vectors and never builds U or V.
+which applies the logs to vectors and never builds U or V, and which only
+``window.solve_in_subgroup`` calls: for the witness lift of a failing
+certificate and for the p^h-th roots of synthesis.
 ``left_kernel_basis`` stays a public function of this module (the
 benchmark's tracer wraps it by name), but no library code calls it.
 """
@@ -276,10 +278,9 @@ def left_kernel_basis(M: IntMatrix) -> list[list[int]]:
     return [list(snf.U.row(i)) for i in range(r, M.rows)]
 
 
-def _column_order(column, mods) -> int:
-    """Order of a column as an element of the product of cyclic groups."""
-    orders = [m // gcd(m, a % m if m else a) if m else 1 for a, m in zip(column, mods)]
-    return lcm(*orders) if orders else 1
+def vector_order(vec, mods) -> int:
+    """The order of an integer vector in the product of the Z(m_f): the lcm of its residues' orders."""
+    return lcm(*(m // gcd(m, a) for a, m in zip(vec, mods) if a))
 
 
 def solve_mixed_modulus(A: IntMatrix, b, mods) -> list[int] | None:
@@ -311,4 +312,4 @@ def solve_mixed_modulus(A: IntMatrix, b, mods) -> list[int] | None:
             return None
     # V z: the column operations act on a column vector in reverse, transposed
     x = _replay(z, [(j, i, q) for i, j, q in reversed(snf.col_ops)])[:c]
-    return [x[j] % _column_order(A.column(j), mods) for j in range(c)]
+    return [x[j] % vector_order(A.column(j), mods) for j in range(c)]

@@ -39,6 +39,7 @@ from .torsion import (
     HeightLayers,
     PrimaryDecomposition,
     _socle_coordinates,
+    height,
     height_layer,
     is_p_group,
     p_valuation,
@@ -106,14 +107,6 @@ def _prefix_in_span(echelon: FpEchelon, window, d: int, p: int):
     return lambda row: not any(echelon.reduce([row[f] // half for f, half in halves]))
 
 
-def _max_height(layers, inside) -> int:
-    """The largest h with a layer row outside ``inside`` (a subgroup test on rows), or -1."""
-    return next(
-        (h for h in reversed(range(len(layers))) if not all(map(inside, layers[h].canonical_rows))),
-        -1,
-    )
-
-
 def synthesize_p(
     g: WindowSubgroup, p: int, certificate: Certificate
 ) -> GeneratingSet:
@@ -175,15 +168,14 @@ def synthesize_p(
         inside = _prefix_in_span(echelon, g.window, d_k, p)
         added = 0
         while len(xs) < target:
-            # the candidates are the arena members with a prefix outside the span
-            h = _max_height(layers, inside)
+            # the candidates are the arena members with a prefix outside the
+            # span; take the least of maximal height, preferring one that
+            # divides by p^h inside the lift section
+            h, z = layers.highest(lambda layer: least_in_difference(layer, inside))
             if h < 0:
                 determined = False
                 break
-            # the least candidate of maximal height, preferring one that
-            # divides by p^h inside the lift section
             scale = p**h
-            z = least_in_difference(layers[h], inside)
             y = solve_in_subgroup(lift_section, z, scale=scale)
             if y is None:
                 z_lift = least_in_difference(height_layer(lift_section, p, h, arena), inside)
@@ -277,12 +269,10 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
             x = gs.socle_elements[j]
             in_arena = all(d_prev < i <= n_dk for i in x.support)
             ok_member = g.contains(x) and in_arena and x.order() == p
-            best = _max_height(layers, inside)
+            best, _ = layers.highest(lambda layer: least_in_difference(layer, inside))
             if (ok_member or best >= 0) and not is_p_group(g, p):
                 raise InputError("heights are defined inside p-groups")
-            h = -1
-            if ok_member:  # x lies in L_lv exactly when it lies in p^lv G
-                h = max(lv for lv in range(len(layers)) if lv == 0 or g.scaled(p**lv).contains(x))
+            h = height(x, g, p) if ok_member else -1
             ok_height = h == gs.heights[j]
             ok_max = h == best
             ok_mono = prev_h is None or h <= prev_h
@@ -440,24 +430,20 @@ class ImplicitProductReport:
         return self.image_matches
 
 
-def check_implicit_direct_product(
-    gs: GeneratingSet,
-    g: WindowSubgroup,
-    *,
-    h_big: Optional[WindowSubgroup] = None,
-) -> ImplicitProductReport:
+def check_implicit_direct_product(gs: GeneratingSet, g: WindowSubgroup) -> ImplicitProductReport:
     """Does the finite-support coefficient image equal the finite-support part?
 
     At window scale the image of the finitely supported coefficient
     sequences is the span of the generators, and the finite-support part of
     the group is the group itself, so the identity is a spanning check.  The
-    observability route runs on the socle span of the scaled generators; a
-    longer-window snapshot sharpens it from the literal one-window reading.
+    observability route reads the socle span of the scaled generators on
+    the one window at hand, literally.  Whether the socle elements lie in
+    G is clause (d) of ``verify_block_properties``, not a check here.
     """
     y_span = span(g.window, gs.generators)
     image_matches = y_span == g
     socle_span = span(g.window, gs.socle_elements)
-    cert = is_weakly_observable(socle_span, g, h_big=h_big)
+    cert = is_weakly_observable(socle_span)
     return ImplicitProductReport(
         image_matches=image_matches,
         observability=cert,

@@ -19,9 +19,8 @@ from .window import (
     Element,
     ProductWindow,
     WindowSubgroup,
-    combine,
+    least_with_prefix,
     membership,
-    membership_coefficients,
     prime_power,
     section,
     torsion_subgroup,
@@ -187,6 +186,19 @@ class HeightLayers(Sequence):
     def __getitem__(self, h: int) -> WindowSubgroup:
         return self._build(self._range[h])
 
+    def highest(self, find):
+        """(h, find(self[h])) for the largest h where ``find`` gives a value, else (-1, None).
+
+        ``find`` reads a wanted member off a layer, or None; the layers are
+        nested, so the first layer from the top with one holds the members
+        of maximal height.
+        """
+        for h in reversed(self._range):
+            found = find(self[h])
+            if found is not None:
+                return h, found
+        return -1, None
+
 
 def max_height_prefix_witness(
     x: Element,
@@ -205,8 +217,9 @@ def max_height_prefix_witness(
     Ties are broken by the lexicographically least residue vector.
 
     The candidates of height at least h inside a section are the members of
-    its height-h layer with x's prefix: one lifts the prefix, and the least
-    is that lift's canonical representative modulo the layer's part past i.
+    its height-h layer with x's prefix, and the least of them is read off
+    the layer's echelon rows (``window.least_with_prefix``); the highest
+    layer of G_[1,n_i] with one gives the maximal height.
     """
     p = x.order()
     _check_prime(p)
@@ -233,25 +246,17 @@ def max_height_prefix_witness(
             if not deep.contains(x):
                 raise InputError("element does not belong to the subgroup")
 
-    def lift(sect: WindowSubgroup, h: int) -> Element | None:
-        layer = height_layer(sect, p, h)
-        coeffs = membership_coefficients(prefix, layer, interval=(1, i))
-        return None if coeffs is None else combine(layer, coeffs)
+    def find(layer: WindowSubgroup) -> Element | None:
+        return least_with_prefix(layer, prefix.flat)
 
-    def least(sect: WindowSubgroup, h: int, z: Element) -> Element:
-        return height_layer(sect, p, h, (i + 1, n_i)).coset_representative(z) if i < n_i else z
-
-    # x lies in layer 0, so some layer has a lift
-    for best in reversed(range(p_valuation(inner.exponent(), p))):
-        z = lift(inner, best)
-        if z is not None:
-            break
+    # x lies in layer 0, so some layer has a candidate
+    best, z = HeightLayers(inner, p, (1, g.window.length)).highest(find)
     # prefer candidates realizing the ambient height, then the deep-section height
     if best == target and deep is not None:
-        w = lift(deep, target)
+        w = find(height_layer(deep, p, target))
         if w is not None:
-            return least(deep, target, w)
-    return least(inner, best, z)
+            return w
+    return z
 
 
 @dataclass(frozen=True)

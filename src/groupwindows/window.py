@@ -11,8 +11,9 @@ read off it.  Subgroups are identified by a canonical lattice basis: the
 generator rows plus the relations m_f e_f span an integer lattice of full
 rank F, and its canonical echelon (Hermite) basis is the subgroup's identity
 card.  Kernels (sections, torsion subgroups, height layers) come from one
-echelon basis of pairs, ``kernel_subgroup``; the Smith normal form serves only
-the coefficient solver behind ``membership_coefficients``.  Elements are
+echelon basis of pairs, ``kernel_subgroup``, and least members are read off
+echelon rows (``least_in_difference``, ``least_with_prefix``); the Smith
+normal form serves only the lifts of ``solve_in_subgroup``.  Elements are
 built only at the edges: file I/O, witnesses, and generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
@@ -37,7 +38,7 @@ from itertools import accumulate
 from math import gcd, lcm, prod
 
 from .errors import InputError, WindowScaleError
-from .intlinalg import IntMatrix, row_lattice_basis, solve_mixed_modulus
+from .intlinalg import IntMatrix, row_lattice_basis, solve_mixed_modulus, vector_order
 
 # Exact element scans refuse beyond this many elements.
 ENUM_LIMIT = 1 << 20
@@ -222,11 +223,6 @@ class ProductWindow:
         return tuple(sorted(set().union(*(c.primes() for c in self.components))))
 
 
-def _flat_order(flat, mods) -> int:
-    """The order of a flat row: the lcm of its residues' orders."""
-    return lcm(*(m // gcd(m, r) for r, m in zip(flat, mods) if r))
-
-
 @dataclass(frozen=True)
 class Element:
     """A point of a window: one residue in [0, m_f) per flat factor f, trusted."""
@@ -254,7 +250,7 @@ class Element:
         return (s[-1] - s[0] + 1) if s else 0
 
     def order(self) -> int:
-        return _flat_order(self.flat, self.window.flat_orders)
+        return vector_order(self.flat, self.window.flat_orders)
 
     def __add__(self, other: "Element") -> "Element":
         if other.window != self.window:
@@ -379,7 +375,7 @@ class WindowSubgroup:
     @cached_property
     def _exponent(self) -> int:
         mods = self.window.flat_orders
-        return lcm(*(_flat_order(row, mods) for row in self.canonical_rows))
+        return lcm(*(vector_order(row, mods) for row in self.canonical_rows))
 
     def contains(self, x: Element) -> bool:
         if x.window != self.window:
@@ -396,17 +392,6 @@ class WindowSubgroup:
             if q:
                 vec = [a - q * b for a, b in zip(vec, row)]
         return True
-
-    def coset_representative(self, x: Element) -> Element:
-        """Canonical representative of x modulo this subgroup."""
-        if x.window != self.window:
-            raise InputError("element and subgroup live in different windows")
-        vec = list(x.flat)
-        for idx, row in enumerate(self.basis):
-            q = vec[idx] // row[idx]
-            if q:
-                vec = [a - q * b for a, b in zip(vec, row)]
-        return self.window.from_flat(vec)
 
     def scaled(self, k: int) -> "WindowSubgroup":
         """The subgroup k*G = { k*g : g in G }."""
@@ -560,6 +545,28 @@ def least_in_difference(a: WindowSubgroup, inside) -> Element | None:
     return a.window.from_flat(vec)
 
 
+def least_with_prefix(a: WindowSubgroup, prefix) -> Element | None:
+    """The lexicographically least member of ``a`` whose flat vector starts with ``prefix``.
+
+    ``prefix`` is a sequence of flat residues; None when no member has it.
+    Echelon row f has its pivot d_f at flat f.  Inside the prefix the value
+    there is forced, so d_f must divide what is missing; after it, the
+    members take r, r + d_f, ... there, and the least r is kept.  This is
+    the canonical representative of any such member modulo the members with
+    a zero prefix, whose echelon rows are m_f e_f on the prefix and a's own
+    rows after it.
+    """
+    rows = a.basis
+    vec = [0] * len(rows)
+    for f, row in enumerate(rows):
+        k, r = divmod(vec[f] - (prefix[f] if f < len(prefix) else 0), row[f])
+        if r and f < len(prefix):
+            return None
+        if k:
+            vec = [x - k * y for x, y in zip(vec, row)]
+    return a.window.from_flat(vec)
+
+
 def membership(x: Element, g: WindowSubgroup) -> bool:
     """True when x is an integer combination of the generators modulo the moduli."""
     return g.contains(x)
@@ -609,7 +616,13 @@ def span(window: ProductWindow, elements) -> WindowSubgroup:
     return WindowSubgroup(window, tuple(elements))
 
 
-def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Element | None:
-    """Find y in the subgroup with scale*y == target, canonically chosen."""
-    coeffs = membership_coefficients(target, g, scale=scale)
+def solve_in_subgroup(
+    g: WindowSubgroup, target: Element, scale: int = 1, interval=None
+) -> Element | None:
+    """Find y in the subgroup with scale*y == target, canonically chosen.
+
+    With ``interval``, the target lives on that sub-window and only the
+    projection of scale*y onto it must match.
+    """
+    coeffs = membership_coefficients(target, g, scale=scale, interval=interval)
     return None if coeffs is None else combine(g, coeffs)

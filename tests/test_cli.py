@@ -186,6 +186,25 @@ def test_verify_flags_tampered_height(template_path, tmp_path):
     assert "d" in flagged or "e" in flagged
 
 
+def test_verify_reports_a_socle_element_outside_the_group(tmp_path, capsys):
+    # a well-formed encoder whose socle element leaves G fails verify (exit 1)
+    # with a report; it is no input error
+    group = write(tmp_path, "g.json", {"components": [[2], [2]], "generators": [[[1], [1]]]})
+    out = tmp_path / "enc.json"
+    assert main(["synthesize", "--input", group, "--out", str(out)]) == 0
+    enc_path = tmp_path / "enc.p2.json"
+    enc = json.loads(enc_path.read_text())
+    enc["socle_elements"] = [[[1], [0]]]
+    enc_path.write_text(json.dumps(enc))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["verify", "--input", group, "--encoder", str(out), "--out", str(report)]) == 1
+    assert "input error" not in capsys.readouterr().err
+    payload = json.loads(report.read_text())
+    assert payload["pass"] is False
+    assert sorted(k for k, v in payload["parts"]["2"].items() if not v["pass"]) == ["d", "e", "f"]
+
+
 def test_verify_shape_mismatch_exits_3(template_path, tmp_path):
     group_path = tmp_path / "c6.json"
     main(["unroll", "--input", template_path, "--window", "6", "--closure", "--out", str(group_path)])

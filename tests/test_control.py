@@ -412,18 +412,16 @@ def test_distinct_prime_coordinates_always_rectangular():
 def test_weak_observability_literal_mode():
     w = window_of([4], [2])
     full = w.full_subgroup()
-    cert = is_weakly_observable(full, full)
+    cert = is_weakly_observable(full)
     assert cert.status == HOLDS
     assert cert.notes["mode"] == "literal-at-window"
-    with pytest.raises(InputError):
-        is_weakly_observable(full, subgroup(w, (2, 0)))
 
 
 def test_weak_observability_rectangular_socle_span():
     w = window_of([4], [4])
     full = w.full_subgroup()
     socle_span = subgroup(w, (2, 0), (0, 2))
-    assert is_weakly_observable(socle_span, full).status == HOLDS
+    assert is_weakly_observable(socle_span).status == HOLDS
 
 
 def test_weak_observability_growth_mode_running_example(shift_template):

@@ -3,7 +3,8 @@
 ``kernel_subgroup``, ``torsion_subgroup`` over an interval and
 ``height_layer`` are checked against filtering the exhaustive span,
 ``least_outside`` and ``least_in_difference`` against the least listed
-member outside, ``FpEchelon`` against exhaustive F_p spans, and
+member outside, ``least_with_prefix`` against the least listed member with
+the prefix, ``FpEchelon`` against exhaustive F_p spans, and
 ``_socle_solve`` by round trips through the socle elements it solves over.
 The bases that ``project``, ``kernel_subgroup`` and ``primary_decompose``
 take without a new echelon are checked against a fresh one.
@@ -21,6 +22,7 @@ from groupwindows.window import (
     kernel_subgroup,
     least_in_difference,
     least_outside,
+    least_with_prefix,
     torsion_subgroup,
 )
 
@@ -224,6 +226,25 @@ def test_least_in_difference_is_none_exactly_when_inside(groups):
         assert got is None
     else:
         assert got is not None and got.flat == min(a_set - b_set)
+
+
+@SETTINGS
+@given(small_groups(), st.data())
+def test_least_with_prefix_is_the_least_listed_member_with_it(g, data):
+    # a prefix of any flat width, half the time a member's and otherwise any residues
+    mods = g.window.flat_orders
+    members = _flats(g)
+    e = data.draw(st.integers(0, len(mods)))
+    if data.draw(st.booleans()):
+        prefix = data.draw(st.sampled_from(sorted(members)))[:e]
+    else:
+        prefix = tuple(data.draw(st.integers(0, m - 1)) for m in mods[:e])
+    with_prefix = [v for v in members if v[:e] == prefix]
+    got = least_with_prefix(g, prefix)
+    if not with_prefix:
+        assert got is None
+    else:
+        assert got is not None and got.flat == min(with_prefix)
 
 
 def _pad(v, width):

@@ -25,7 +25,7 @@ from groupwindows import (
 )
 from groupwindows.control import HOLDS
 from groupwindows.errors import InputError
-from groupwindows.torsion import socle_subgroup
+from groupwindows.torsion import HeightLayers, socle_subgroup
 
 from conftest import random_mixed_group, random_staggered_group, window_of
 import oracles
@@ -133,8 +133,8 @@ def test_synthesize_p_under_arbitrary_index_maps(monkeypatch):
     # divides inside the lift section is looked for past the least one, none
     # is found (the lift is taken in G), and no candidate is left
     paths = {"lift-layer": 0, "lift-in-g": 0, "no-candidate": 0}
-    real_layer, real_max, real_solve = (
-        synthesis.height_layer, synthesis._max_height, synthesis.solve_in_subgroup
+    real_layer, real_highest, real_solve = (
+        synthesis.height_layer, HeightLayers.highest, synthesis.solve_in_subgroup
     )
     groups = {}  # id -> group, held so that no id is reused
 
@@ -142,17 +142,17 @@ def test_synthesize_p_under_arbitrary_index_maps(monkeypatch):
         paths["lift-layer"] += 1
         return real_layer(*args)
 
-    def max_height(layers, inside):
-        h = real_max(layers, inside)
+    def highest(layers, find):
+        h, z = real_highest(layers, find)
         paths["no-candidate"] += h < 0
-        return h
+        return h, z
 
     def solve(sub, z, scale=1):
         paths["lift-in-g"] += id(sub) in groups
         return real_solve(sub, z, scale=scale)
 
     monkeypatch.setattr(synthesis, "height_layer", lift_layer)
-    monkeypatch.setattr(synthesis, "_max_height", max_height)
+    monkeypatch.setattr(HeightLayers, "highest", highest)
     monkeypatch.setattr(synthesis, "solve_in_subgroup", solve)
     rng = random.Random(1618)
     runs = 0

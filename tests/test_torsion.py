@@ -147,6 +147,33 @@ def test_max_height_prefix_witness_validates_inputs():
         max_height_prefix_witness(w.element([[1], [0]]), 1, full, 2)  # order 4, not prime
 
 
+def test_max_height_prefix_witness_computes_no_smith_form(shift_template, monkeypatch):
+    # the witness is read off the layers' echelon rows, so it answers with
+    # the Smith normal form unavailable, for every support bound n_i
+    import groupwindows
+    from groupwindows import intlinalg
+
+    g = closure_window(shift_template, 8).group
+    cert = order_controllability_certificate(g)
+
+    def refuse(*args):
+        raise AssertionError("the Smith normal form was computed")
+
+    for module in (intlinalg, groupwindows):
+        monkeypatch.setattr(module, "smith_normal_form", refuse)
+    answered = 0
+    for n_i in range(1, g.window.length + 1):
+        soc = socle_subgroup(section(g, (1, n_i)), 2)
+        for i in range(1, n_i + 1):
+            for x in soc.elements():
+                if x.restrict((1, i)).is_zero():
+                    continue
+                wtn = max_height_prefix_witness(x, i, g, n_i, n_sequence=cert.indices)
+                assert soc.contains(wtn) and wtn.restrict((1, i)) == x.restrict((1, i))
+                answered += 1
+    assert answered > 3000
+
+
 def test_max_height_prefix_witness_matches_exhaustive_scan():
     rng = random.Random(123)
     tried = 0

@@ -234,9 +234,6 @@ def test_coset_representative_roundtrip_preserves_order():
         assert element_order(y) == element_order(x)
     outside = w.element([[1], [0], [0]])
     assert membership_coefficients(outside, g) is None
-    rep = g.coset_representative(outside)
-    assert not rep.is_zero()
-    assert g.coset_representative(outside + g.canonical_generators[0]).flat == rep.flat
 
 
 # ---------------------------------------------------------------- prime powers
