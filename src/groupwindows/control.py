@@ -7,10 +7,12 @@ witness on failure, and per-index stabilization flags.
 
 Matching.  Depth i is matched at support bound n when the members supported
 in [1, n] reach every [1, i]-prefix of G; the prefix projections are nested,
-so this reads |G_[1,n]| * |G_[i+1,N]| == |G| * |G_[i+1,n]|.  Every section
-order comes off one echelon per start coordinate.  The order condition is
+so this reads |G_[1,n]| * |G_[i+1,N]| == |G| * |G_[i+1,n]|.  G keeps its
+section orders (``WindowSubgroup.section_order``).  The order condition is
 this identity on G[q] plus one identity of suffix sections of qG, per prime
 power q; only a failure builds the subgroups its witness is read from.
+G_[a,b] is the section of G on [a, b], P_n the projection of G onto [1, n]
+and S_n the projection of G_[1,n]; X[q] is the subgroup of X killed by q.
 
 Window policy.  The properties are statements about infinite products, so a
 finite window can only answer honestly inside a safety strip: with margin w
@@ -24,12 +26,9 @@ index gets a flag recording whether it survived the growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError
-from .intlinalg import row_lattice_basis
 from .templates import TemplateSpec, unroll_template
 from .window import (
     Element,
@@ -71,80 +70,6 @@ class Certificate:
         return self.status == HOLDS
 
 
-class _Scans:
-    """Section orders shared by the index searches of one certificate.
-
-    G_[a,b] is the section of G on [a, b], P_n the projection of G onto
-    [1, n] and S_n the projection of G_[1,n]; X[q] is the subgroup of X
-    killed by q.  Nothing here outlives the certificate it serves.
-    """
-
-    def __init__(self, g: WindowSubgroup):
-        self.g = g
-        self.suffix_orders = _suffix_orders(g)
-        self._prefix_rows: Optional[list] = None
-        self._orders: dict[int, list[int]] = {}
-        self._torsion: dict[int, _Scans] = {}
-        self._divided: dict[tuple[int, int], list[int]] = {}
-
-    def prefix_rows(self) -> list:
-        """G's basis in echelon by last nonzero entry, the rows of the start-1 table."""
-        if self._prefix_rows is None:
-            self._prefix_rows = _ending_rows(self.g.basis)
-        return self._prefix_rows
-
-    def section_order(self, a: int, b: int) -> int:
-        """|G_[a,b]|, and 1 when b < a.
-
-        G's basis rows from the first flat s of coordinate a on span the
-        members vanishing before a, so |G_[a,N]| is the product of m_f / d_f
-        over the flats from s on, d_f the diagonal entry.  In their echelon by
-        last nonzero entry the rows ending inside [a, b] span G_[a,b]; its order
-        is the running product over their flats with that echelon's diagonal.
-        """
-        if b < a:
-            return 1
-        window = self.g.window
-        s = window.coord_slices[a - 1][0]
-        table = self._orders.get(a)
-        if table is None:
-            if b == window.length:
-                return self.suffix_orders[s]
-            rows = self.prefix_rows() if a == 1 else _ending_rows([r[s:] for r in self.g.basis[s:]])
-            ratios = (m // rows[k][k] for k, m in enumerate(window.flat_orders[s:]))
-            table = self._orders[a] = list(accumulate(ratios, mul, initial=1))
-        return table[window.coord_slices[b - 1][1] - s]
-
-    def torsion(self, q: int) -> "_Scans":
-        """The scans of G[q]."""
-        if q not in self._torsion:
-            self._torsion[q] = _Scans(torsion_subgroup(self.g, q))
-        return self._torsion[q]
-
-    def divided(self, q: int, e: int) -> list:
-        """The suffix orders of q times the members of G vanishing before flat e."""
-        if (q, e) not in self._divided:
-            rows = [[q * x for x in r] for r in self.g.basis[e:]]
-            self._divided[q, e] = _suffix_orders(WindowSubgroup.from_rows(self.g.window, rows))
-        return self._divided[q, e]
-
-
-def _suffix_orders(h: WindowSubgroup) -> list:
-    """|H_[a,N]| at the first flat of coordinate a, 1 past the last (``_Scans.section_order``)."""
-    ratios = [m // row[f] for f, (m, row) in enumerate(zip(h.window.flat_orders, h.basis))]
-    return list(accumulate(ratios[::-1], mul, initial=1))[::-1]
-
-
-def _ending_rows(basis) -> list:
-    """An echelon basis of a full-rank lattice whose row f ends at entry f.
-
-    The rows ending before a position span the lattice vectors vanishing
-    from there on, so every prefix section reads its generators off here.
-    """
-    rows = row_lattice_basis([row[::-1] for row in basis], len(basis))
-    return [row[::-1] for row in reversed(rows)]
-
-
 def controllability_index(g: WindowSubgroup, i: int, cap: int) -> Optional[int]:
     """Least n in [i, cap] with every [1,i]-prefix of G matched inside [1, n].
 
@@ -152,7 +77,7 @@ def controllability_index(g: WindowSubgroup, i: int, cap: int) -> Optional[int]:
     (``_matched``).  Returns None when no n up to cap works.
     """
     _check_index_args(g, i, cap)
-    return _index(_Scans(g), i, cap)
+    return _index(g, i, cap)
 
 
 def _check_index_args(g: WindowSubgroup, i: int, cap: int):
@@ -160,30 +85,30 @@ def _check_index_args(g: WindowSubgroup, i: int, cap: int):
         raise InputError(f"need 1 <= i <= cap <= N, got i={i}, cap={cap}, N={g.window.length}")
 
 
-def _matched(scans: _Scans, i: int, n: int) -> bool:
+def _matched(g: WindowSubgroup, i: int, n: int) -> bool:
     """pi_[1,i](G_[1,n]) == pi_[1,i](G), for i <= n, by section orders.
 
     The left side lies in the right, and the two projections have kernels
     G_[i+1,n] and G_[i+1,N], so they are equal exactly when
     |G_[1,n]| * |G_[i+1,N]| == |G| * |G_[i+1,n]|.
     """
-    order = scans.section_order
-    N = scans.g.window.length
+    order = g.section_order
+    N = g.window.length
     return order(1, n) * order(i + 1, N) == order(1, N) * order(i + 1, n)
 
 
 def _index(
-    scans: _Scans, i: int, cap: int, *, order: bool = False, start: int = 1
+    g: WindowSubgroup, i: int, cap: int, *, order: bool = False, start: int = 1
 ) -> Optional[int]:
     """Least n in [max(i, start), cap] that is matched, and with ``order``
     passes the order condition too; None when no such n exists."""
     for n in range(max(i, start), cap + 1):
-        if _matched(scans, i, n) and (not order or _order_condition_holds(scans, i, n)):
+        if _matched(g, i, n) and (not order or _order_condition_holds(g, i, n)):
             return n
     return None
 
 
-def _order_condition_holds(scans: _Scans, i: int, n: int) -> bool:
+def _order_condition_holds(g: WindowSubgroup, i: int, n: int) -> bool:
     """Every w in P_n has a z in S_n with w's [1, i]-prefix and order dividing w's.
 
     Called on a matched pair (i, n).  The matched members of order dividing
@@ -196,30 +121,30 @@ def _order_condition_holds(scans: _Scans, i: int, n: int) -> bool:
         of pi_[1,i] on P_n, gives |demand| = |pi_[1,i](G[q])| times the ratio
         |(qG)_[n+1,N]| / |(q G_[i+1,N])_[n+1,N]| >= 1 of suffix orders (1 at n = N).
     """
-    e, divided = scans.g.exponent(), scans.divided
-    i_end, n_end = (scans.g.window.flat_slice((1, k))[1] for k in (i, n))  # n + 1 starts at n_end
-    for p in scans.g.window.primes():
+    e, suffix = g.exponent(), g.suffix_order
+    for p in g.window.primes():
         q = p
         while e % (q * p) == 0:
-            if divided(q, 0)[n_end] != divided(q, i_end)[n_end] or not _matched(scans.torsion(q), i, n):
+            if suffix(n + 1, q) != suffix(n + 1, q, i + 1) or not _matched(torsion_subgroup(g, q), i, n):
                 return False
             q *= p
     return True
 
 
-def _order_witness(scans: _Scans, i: int, cap: int) -> Element:
+def _order_witness(g: WindowSubgroup, i: int, cap: int) -> Element:
     """The (order, flat)-least w in P_cap with no companion of dividing order.
 
     A companion of w of order dividing q exists exactly when w lies in
-    S_cap[q], the first rows of G[q]'s ``prefix_rows`` cut to [1, cap], plus
-    the members of [1, cap] vanishing on [1, i].
+    S_cap[q], the projection of the section of G[q] on [1, cap], plus the
+    members of [1, cap] vanishing on [1, i].
     """
-    proj = project(scans.g, (1, cap))
+    proj = project(g, (1, cap))
     F = proj.window.flat_length
-    free = [[int(k == f) for k in range(F)] for f in range(scans.g.window.flat_slice((1, i))[1], F)]
+    free = [[int(k == f) for k in range(F)] for f in range(g.window.flat_slice((1, i))[1], F)]
 
     def offer(q: int) -> WindowSubgroup:
-        return WindowSubgroup.from_rows(proj.window, [r[:F] for r in scans.torsion(q).prefix_rows()[:F]] + free)
+        reach = project(torsion_subgroup(g, q, (1, cap)), (1, cap))
+        return WindowSubgroup.from_rows(proj.window, [*reach.basis, *free])
 
     return least_outside(proj, offer)
 
@@ -238,23 +163,21 @@ def order_controllability_index(
     support bound.
     """
     _check_index_args(g, i, cap)
-    scans = _Scans(g)
-    n = _index(scans, i, cap, order=True)
+    n = _index(g, i, cap, order=True)
     if n is not None:
         return n, None, None
-    return (None, *_failure(scans, i, cap, order=True))
+    return (None, *_failure(g, i, cap, order=True))
 
 
-def _failure(scans: _Scans, i: int, cap: int, order: bool) -> tuple[Element, dict]:
+def _failure(g: WindowSubgroup, i: int, cap: int, order: bool) -> tuple[Element, dict]:
     """The witness and context of a depth i that no support bound up to cap serves.
 
     Without ``order`` the witness is a member of G whose [1, i]-prefix no
     member supported in [1, cap] matches.
     """
-    g = scans.g
     context = {"i": i, "n": cap}
     if order:
-        proj = _order_witness(scans, i, cap)
+        proj = _order_witness(g, i, cap)
         context["reason"] = "order-obstruction"
     else:
         proj = least_outside(project(g, (1, i)), project(section(g, (1, cap)), (1, i)))
@@ -305,13 +228,12 @@ def _engine(
     if testable < 1 or cap < 1:
         return {}, None, cap, testable, UNDETERMINED
     order = prop == "order-controllable"
-    scans = _Scans(g)
     indices: dict[int, int] = {}
     for i in range(1, testable + 1):
         # n_i never decreases in i: a pair (i + 1, n) that holds implies (i, n)
-        n = _index(scans, i, cap, order=order, start=indices.get(i - 1, 1))
+        n = _index(g, i, cap, order=order, start=indices.get(i - 1, 1))
         if n is None:
-            return indices, (i, *_failure(scans, i, cap, order)), cap, testable, FAILS
+            return indices, (i, *_failure(g, i, cap, order)), cap, testable, FAILS
         indices[i] = n
     return indices, None, cap, testable, HOLDS
 
@@ -500,8 +422,7 @@ def is_weakly_observable(h: WindowSubgroup, *, h_big: Optional[WindowSubgroup] =
     if h_big.window.subwindow((1, n_small)) != h.window:
         raise InputError("snapshots disagree on the shared coordinate range")
 
-    scans = _Scans(h_big)
-    ok = _matched(scans, n_small, n_small)
+    ok = _matched(h_big, n_small, n_small)
     actual = project(section(h_big, (1, n_small)), (1, n_small))
     witness = None
     context = None
@@ -514,7 +435,7 @@ def is_weakly_observable(h: WindowSubgroup, *, h_big: Optional[WindowSubgroup] =
     section_stable = actual == project(h, (1, n_small))
     flags = {n_small: section_stable}
     if n_small > 1:
-        ok_prev = _matched(scans, n_small - 1, n_small - 1)
+        ok_prev = _matched(h_big, n_small - 1, n_small - 1)
         flags[n_small] = section_stable and (ok_prev == ok)
     return Certificate(
         property="weakly-observable",

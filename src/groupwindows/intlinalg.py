@@ -10,8 +10,9 @@ The three workhorses are
 * ``smith_normal_form``: U * M * V = D with U, V unimodular and D diagonal
   with a divisibility chain, U and V kept as logs of operations until read,
 * ``row_lattice_basis``: the canonical echelon basis of an integer row
-  lattice (used for subgroup canonical forms, membership and every kernel
-  subgroup, see ``window.kernel_subgroup``),
+  lattice (used for subgroup canonical forms, membership, sections and
+  section orders, and torsion subgroups, see ``window.section`` and
+  ``window.kernel_subgroup``),
 * ``solve_mixed_modulus``: solve A x = b componentwise modulo a vector of
   moduli, the lattice form of "is this element a combination of these
   generators".

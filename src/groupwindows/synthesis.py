@@ -226,6 +226,8 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
     soc = socle_subgroup(g, p)
     counts = gs.block_counts()
     n_window = g.window.length
+    # an element p does not kill has no socle vector: clauses (a), (c), (d) and (f) fail on it
+    killed = [p % x.order() == 0 for x in gs.socle_elements]
 
     def put(name: str, ok: bool, detail: str = ""):
         if not ok and checks[name][0]:  # a clause keeps its first failure's detail
@@ -240,7 +242,7 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
 
         # (a) block projections independent on (d_{k-1}, d_k]
         ech = FpEchelon(p)
-        ok_a = all(ech.add(socle_vector(x.restrict((d_prev + 1, d_k)), p)) for x in bk)
+        ok_a = all(killed[lo:hi]) and all(ech.add(socle_vector(x.restrict((d_prev + 1, d_k)), p)) for x in bk)
         put("a", ok_a, f"block {k}: projections on ({d_prev}, {d_k}] dependent" if not ok_a else "")
 
         # (b) blocks so far generate the projected socle on (d_{k-1}, d_k]
@@ -254,15 +256,16 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
         subw = g.window.subwindow((1, d_k))
         spans = span(subw, pref) == project(soc, (1, d_k))
         ech = FpEchelon(p)
-        indep = all(ech.add(socle_vector(x, p)) for x in pref)
+        indep = all(killed[:hi]) and all(ech.add(socle_vector(x, p)) for x in pref)
         put("c", spans and indep, f"block {k}: prefix projections not a basis" if not (spans and indep) else "")
         put("eq1", spans, f"block {k}: projected socle differs from projected span" if not spans else "")
 
         # (d) membership, maximal height, nonincreasing heights
         layers = HeightLayers(g, p, (d_prev + 1, n_dk))
         ech = FpEchelon(p)
-        for x in gs.socle_elements[:lo]:
-            ech.add(_prefix_socle_vector(x, d_k, p))
+        for x, ok in zip(gs.socle_elements[:lo], killed):
+            if ok:
+                ech.add(_prefix_socle_vector(x, d_k, p))
         inside = _prefix_in_span(ech, g.window, d_k, p)
         prev_h = None
         for j in range(lo, hi):
@@ -277,7 +280,8 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
             ok_max = h == best
             ok_mono = prev_h is None or h <= prev_h
             prev_h = h
-            ech.add(_prefix_socle_vector(x, d_k, p))
+            if killed[j]:
+                ech.add(_prefix_socle_vector(x, d_k, p))
             ok_d = ok_member and ok_height and ok_max and ok_mono
             put("d", ok_d, f"generator {j + 1}: membership/height/maximality violated" if not ok_d else "")
 
@@ -298,7 +302,7 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
     if gs.blocks:
         d_last = gs.blocks[-1].d
         ech = FpEchelon(p)
-        indep_all = all(ech.add(socle_vector(x, p)) for x in gs.socle_elements)
+        indep_all = all(killed) and all(ech.add(socle_vector(x, p)) for x in gs.socle_elements)
         if d_last < n_window:
             tail = torsion_subgroup(g, p, (d_last + 1, n_window))
         else:

@@ -10,21 +10,25 @@ tuple reduced into [0, m_f); its residues per coordinate and its support are
 read off it.  Subgroups are identified by a canonical lattice basis: the
 generator rows plus the relations m_f e_f span an integer lattice of full
 rank F, and its canonical echelon (Hermite) basis is the subgroup's identity
-card.  Kernels (sections, torsion subgroups, height layers) come from one
-echelon basis of pairs, ``kernel_subgroup``, and least members are read off
-echelon rows (``least_in_difference``, ``least_with_prefix``); the Smith
+card.  A section G_[a,b], the members supported in [a, b], is the kernel of
+the projection onto the other coordinates, so it is one echelon of G's basis
+rows from a on (``section``).  The torsion subgroup G[q] is one echelon of
+pairs (``kernel_subgroup``), built once per q and kept on G; every torsion
+subgroup inside an interval is a section of it.  Each subgroup also keeps
+its section orders, one list per start coordinate.  Least members are read
+off echelon rows (``least_in_difference``, ``least_with_prefix``); the Smith
 normal form serves only the lifts of ``solve_in_subgroup``.  Elements are
 built only at the edges: file I/O, witnesses, and generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
-one is known: ``kernel_subgroup`` passes the kernel rows of its echelon,
-``project`` onto a prefix of flat width e passes G's first e basis rows cut
-to width e, and ``primary_decompose`` G's rows with a pivot at a p-power
-factor, cut to those factors.  By the uniqueness of the Hermite normal form
-(Cohen, A Course in Computational Algebraic Number Theory, 2.4.3) these are
-exact: the cut rows keep a pivot in every column and every entry above a
-pivot reduced.  ``ProductWindow.element`` and ``from_flat`` reduce; the
-``Element`` constructor trusts its tuple.
+one is known: ``section`` and ``kernel_subgroup`` pass the rows of their
+echelons, ``project`` onto a prefix of flat width e passes G's first e basis
+rows cut to width e, and ``primary_decompose`` G's rows with a pivot at a
+p-power factor, cut to those factors.  By the uniqueness of the Hermite
+normal form (Cohen, A Course in Computational Algebraic Number Theory,
+2.4.3) these are exact: the rows keep a pivot in every column and every
+entry above a pivot reduced.  ``ProductWindow.element`` and ``from_flat``
+reduce; the ``Element`` constructor trusts its tuple.
 
 All coordinate indices in the public interface are 1-based and intervals are
 inclusive, matching the certificate and file formats.
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InputError, WindowScaleError
 from .intlinalg import IntMatrix, row_lattice_basis, solve_mixed_modulus, vector_order
@@ -152,6 +157,7 @@ class ProductWindow:
             components=comps,
             flat_orders=tuple(m for c in comps for m in c.factor_orders),
             coord_slices=tuple(zip(bounds, bounds[1:])),  # half-open flat slice per coordinate
+            coord_starts=tuple(bounds),  # first flat of each coordinate, then F
             _hash=hash(comps),
             _subwindows={},
         )
@@ -293,7 +299,7 @@ class WindowSubgroup:
     Two subgroups are equal exactly when their canonical bases agree, so the
     class is usable as a decidable stand-in for abstract subgroup equality.
     Instances are immutable; derived data (basis, generators, element lists,
-    scaled subgroups) is cached on first use.
+    scaled and torsion subgroups, section orders) is cached on first use.
     """
 
     def __init__(self, window: ProductWindow, generators=()):
@@ -321,6 +327,9 @@ class WindowSubgroup:
         self.window = window
         self._rows = rows
         self._scaled_cache: dict[int, "WindowSubgroup"] = {}
+        self._torsion_cache: dict[int, "WindowSubgroup"] = {}
+        self._section_orders: dict[int, list[int]] = {}  # start flat -> running orders
+        self._suffix_tables: dict[tuple[int, int], list[int]] = {}
         self._elements_cache: tuple[Element, ...] | None = None
 
     @cached_property
@@ -402,6 +411,51 @@ class WindowSubgroup:
             got = self._scaled_cache[k] = WindowSubgroup.from_rows(self.window, rows)
         return got
 
+    def section_order(self, a: int, b: int) -> int:
+        """|G_[a,b]|, the order of the section on [a, b], and 1 when b < a.
+
+        G's basis rows from the first flat s of coordinate a on span the
+        members vanishing before a.  In their echelon by last nonzero entry
+        the rows ending inside [a, b] span G_[a,b]; its order is the running
+        product of m_f / d_f over its flats, d_f that echelon's diagonal.
+        Only the running products are kept, one list per start; a section
+        reaching the last flat reads G's own diagonal (``suffix_order``).
+        """
+        if b < a:
+            return 1
+        starts = self.window.coord_starts
+        s, e = starts[a - 1], starts[b]
+        table = self._section_orders.get(s)
+        if table is None:
+            if e == self.window.flat_length:
+                return self.suffix_order(a)
+            mods = self.window.flat_orders[s:]
+            ends = row_lattice_basis([row[s:][::-1] for row in self.basis[s:]], len(mods))
+            # reversed, row k of the echelon ends at flat s + k
+            ratios = (m // row[-1 - k] for k, (m, row) in enumerate(zip(mods, reversed(ends))))
+            table = self._section_orders[s] = list(accumulate(ratios, mul, initial=1))
+        return table[e - s]
+
+    def suffix_order(self, b: int, q: int = 1, a: int = 1) -> int:
+        """|(q G_[a,N])_[b,N]|, and 1 when b = N + 1.
+
+        A subgroup's basis rows from a flat on span its members vanishing
+        before it, so the order is the product of m_f / d_f over the flats
+        of [b, N], d_f the diagonal entry.  q G_[a,N] is spanned by q times
+        G's basis rows from a's first flat on.  One list per (q, a) is kept.
+        """
+        starts = self.window.coord_starts
+        key = (q, starts[a - 1])
+        table = self._suffix_tables.get(key)
+        if table is None:
+            h = self
+            if key != (1, 0):
+                rows = [[q * x for x in row] for row in self.basis[key[1]:]]
+                h = WindowSubgroup.from_rows(self.window, rows)
+            ratios = [m // row[f] for f, (m, row) in enumerate(zip(self.window.flat_orders, h.basis))]
+            table = self._suffix_tables[key] = list(accumulate(ratios[::-1], mul, initial=1))[::-1]
+        return table[starts[b - 1]]
+
     def elements(self, limit: int = ENUM_LIMIT) -> tuple[Element, ...]:
         """All elements, sorted by flat residue vector.  Exact and cached."""
         if self._elements_cache is not None:
@@ -462,7 +516,8 @@ def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
 
     In the canonical echelon basis of the pairs (x mod t, x), x in G, over
     the rows (b | b) for G's basis and (t_f e_f | 0), the last F rows have a
-    zero first half and the kernel's canonical basis as second half.
+    zero first half and the kernel's canonical basis as second half.  The
+    library builds G[q] with it (``torsion_subgroup``).
     """
     F = g.window.flat_length
     rows = [list(b) * 2 for b in g.basis]
@@ -474,22 +529,36 @@ def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
 def section(g: WindowSubgroup, interval) -> WindowSubgroup:
     """Members of the subgroup supported inside ``interval``, in the full window.
 
-    The window's exponent kills every member, so this is the torsion
-    subgroup for it: the kernel of the projection onto the other coordinates.
+    With [s, e) the interval's flats, the section is the kernel of the
+    projection onto the flats outside it.  G's basis rows from s on span the
+    members vanishing before s.  With the flats from e on moved to the
+    front, their echelon ends in e - s rows that vanish from e on: these
+    span the members vanishing outside [s, e) and are the section's
+    canonical rows there.  Relations m_f e_f fill the flats outside.
     """
-    return torsion_subgroup(g, lcm(*g.window.flat_orders), interval)
+    F = g.window.flat_length
+    s, e = g.window.flat_slice(interval)
+    moved = row_lattice_basis([row[e:] + row[s:e] for row in g.basis[s:]], F - s)
+    inner = [(0,) * s + tuple(row[F - e :]) + (0,) * (F - e) for row in moved[F - e :]]
+    basis = tuple(
+        inner[f - s] if s <= f < e else tuple(m if k == f else 0 for k in range(F))
+        for f, m in enumerate(g.window.flat_orders)
+    )
+    return WindowSubgroup.from_rows(g.window, basis, basis)
 
 
 def torsion_subgroup(g: WindowSubgroup, q: int, interval=None) -> WindowSubgroup:
-    """The members of G killed by q and supported inside ``interval``, in one kernel.
+    """The members of G killed by q, and with ``interval`` supported inside it.
 
-    Without an interval this is G[q] = { x in G : q*x == 0 }.
+    G[q] = { x in G : q*x == 0 } is one kernel, built once per q and kept on
+    G; inside an interval the answer is the section of G[q] there.
     """
-    s, e = (0, g.window.flat_length) if interval is None else g.window.flat_slice(interval)
-    # q*x vanishes iff every flat residue is divisible by m_f / gcd(m_f, q)
-    return kernel_subgroup(
-        g, [m // gcd(m, q) if s <= f < e else m for f, m in enumerate(g.window.flat_orders)]
-    )
+    tor = g._torsion_cache.get(q)
+    if tor is None:
+        # q*x vanishes iff every flat residue is divisible by m_f / gcd(m_f, q)
+        t = [m // gcd(m, q) for m in g.window.flat_orders]
+        tor = g._torsion_cache[q] = kernel_subgroup(g, t)
+    return tor if interval is None else section(tor, interval)
 
 
 def least_outside(a: WindowSubgroup, b) -> Element | None:

@@ -228,22 +228,22 @@ def _listed_matched(g, i, n):
     return naive_controllability_ok(*_listed(g), i, n)
 
 
-def _enum_matched(scans, i, n):
-    return _listed_matched(scans.g, i, n)
+def _enum_matched(g, i, n):
+    return _listed_matched(g, i, n)
 
 
-def _order_failures(scans, i, n):
-    plen = scans.g.window.flat_slice((1, i))[1]
-    return naive_order_failures(*_order_profiles(scans.g, n), plen)
+def _order_failures(g, i, n):
+    plen = g.window.flat_slice((1, i))[1]
+    return naive_order_failures(*_order_profiles(g, n), plen)
 
 
-def _enum_order_condition_holds(scans, i, n):
-    return not _order_failures(scans, i, n)
+def _enum_order_condition_holds(g, i, n):
+    return not _order_failures(g, i, n)
 
 
-def _enum_order_witness(scans, i, cap):
-    flat = _order_failures(scans, i, cap)[0][1]
-    return scans.g.window.subwindow((1, cap)).from_flat(flat)
+def _enum_order_witness(g, i, cap):
+    flat = _order_failures(g, i, cap)[0][1]
+    return g.window.subwindow((1, cap)).from_flat(flat)
 
 
 def _enum_least_outside(a, b):

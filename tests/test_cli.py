@@ -205,6 +205,27 @@ def test_verify_reports_a_socle_element_outside_the_group(tmp_path, capsys):
     assert sorted(k for k, v in payload["parts"]["2"].items() if not v["pass"]) == ["d", "e", "f"]
 
 
+def test_verify_reports_a_socle_element_of_order_p_squared(tmp_path, capsys):
+    # a listed socle element that p does not kill has no socle vector; the
+    # clauses that read one fail and verify exits 1 with a report
+    group = write(tmp_path, "g.json", {"components": [[4], [4]], "generators": [[[1], [1]]]})
+    out = tmp_path / "enc.json"
+    assert main(["synthesize", "--input", group, "--out", str(out)]) == 0
+    enc_path = tmp_path / "enc.p2.json"
+    enc = json.loads(enc_path.read_text())
+    assert enc["socle_elements"] == [[[2], [2]]]
+    enc["socle_elements"] = [[[1], [1]]]
+    enc_path.write_text(json.dumps(enc))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["verify", "--input", group, "--encoder", str(out), "--out", str(report)]) == 1
+    assert "input error" not in capsys.readouterr().err
+    payload = json.loads(report.read_text())
+    assert payload["pass"] is False
+    failed = sorted(k for k, v in payload["parts"]["2"].items() if not v["pass"])
+    assert {"a", "c", "d", "f"} <= set(failed)
+
+
 def test_verify_shape_mismatch_exits_3(template_path, tmp_path):
     group_path = tmp_path / "c6.json"
     main(["unroll", "--input", template_path, "--window", "6", "--closure", "--out", str(group_path)])

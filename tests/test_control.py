@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -22,6 +23,7 @@ from groupwindows import (
 )
 from groupwindows.control import FAILS, HOLDS, UNDETERMINED
 from groupwindows.errors import InputError
+from groupwindows.window import kernel_subgroup, torsion_subgroup
 
 from conftest import random_mixed_group, random_staggered_group, subgroup, window_of
 import oracles
@@ -141,9 +143,9 @@ def test_index_scans_start_at_the_previous_index(monkeypatch):
     scanned = []
     real = control._matched
 
-    def matched(scans, i, m):
+    def matched(g, i, m):
         scanned.append((i, m))
-        return real(scans, i, m)
+        return real(g, i, m)
 
     monkeypatch.setattr(control, "_matched", matched)
     for certify_with in (controllability_certificate, order_controllability_certificate):
@@ -179,24 +181,43 @@ def _section_order_pool(shift_template):
 
 def test_section_order_is_the_section_order(shift_template):
     for g in _section_order_pool(shift_template):
-        scans = control._Scans(g)
         n = g.window.length
         for a in range(1, n + 1):
-            assert scans.section_order(a, a - 1) == 1
+            assert g.section_order(a, a - 1) == 1
             for b in range(a, n + 1):
-                assert scans.section_order(a, b) == section(g, (a, b)).order(), (g, a, b)
+                assert g.section_order(a, b) == section(g, (a, b)).order(), (g, a, b)
+
+
+def test_sections_and_interval_torsion_are_their_kernels(shift_template):
+    # G_[a,b] is the kernel of t_f = 1 inside [a, b] and m_f outside, and the
+    # members of G_[a,b] killed by q the kernel of t_f = m_f / gcd(m_f, q) inside
+    for g in _section_order_pool(shift_template):
+        w, e = g.window, g.exponent()
+        powers = [p**k for p in w.primes() for k in range(1, e.bit_length()) if e % p**k == 0]
+        for a in range(1, w.length + 1):
+            for b in range(a, w.length + 1):
+                s, t = w.flat_slice((a, b))
+
+                def masked(inside):
+                    return kernel_subgroup(
+                        g, [inside(m) if s <= f < t else m for f, m in enumerate(w.flat_orders)]
+                    )
+
+                assert section(g, (a, b)) == masked(lambda m: 1), (g, a, b)
+                for q in powers:
+                    expected = masked(lambda m: m // gcd(m, q))
+                    assert torsion_subgroup(g, q, (a, b)) == expected, (g, a, b, q)
 
 
 def test_matching_identity_is_prefix_equality(shift_template):
     # |G_[1,n]| |G_[i+1,N]| == |G| |G_[i+1,n]| exactly when the members
     # supported in [1, n] reach every [1, i]-prefix of G
     for g in _section_order_pool(shift_template):
-        scans = control._Scans(g)
         for n in range(1, g.window.length + 1):
             reach = section(g, (1, n))
             for i in range(1, n + 1):
                 equal = project(reach, (1, i)) == project(g, (1, i))
-                assert control._matched(scans, i, n) == equal, (g, i, n)
+                assert control._matched(g, i, n) == equal, (g, i, n)
 
 
 def test_order_condition_matches_listing_at_every_matched_pair(shift_template):
@@ -205,27 +226,25 @@ def test_order_condition_matches_listing_at_every_matched_pair(shift_template):
     for g in _section_order_pool(shift_template):
         if g.window.length > 8:
             continue
-        scans = control._Scans(g)
         for n in range(1, g.window.length + 1):
             for i in range(1, n + 1):
-                if control._matched(scans, i, n):
-                    expected = oracles._enum_order_condition_holds(scans, i, n)
-                    assert control._order_condition_holds(scans, i, n) == expected, (g, i, n)
+                if control._matched(g, i, n):
+                    expected = oracles._enum_order_condition_holds(g, i, n)
+                    assert control._order_condition_holds(g, i, n) == expected, (g, i, n)
 
 
 def _count_lattice_bases(monkeypatch):
-    """Patch ``row_lattice_basis`` where ``window`` and ``control`` call it; returns the call list."""
+    """Patch ``row_lattice_basis`` where ``window`` calls it; returns the call list."""
     from groupwindows import window as window_module
 
     calls = []
-    for module in (window_module, control):
-        real = module.row_lattice_basis
+    real = window_module.row_lattice_basis
 
-        def counted(*args, real=real):
-            calls.append(1)
-            return real(*args)
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
 
-        monkeypatch.setattr(module, "row_lattice_basis", counted)
+    monkeypatch.setattr(window_module, "row_lattice_basis", counted)
     return calls
 
 

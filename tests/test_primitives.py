@@ -6,15 +6,16 @@
 member outside, ``least_with_prefix`` against the least listed member with
 the prefix, ``FpEchelon`` against exhaustive F_p spans, and
 ``_socle_solve`` by round trips through the socle elements it solves over.
-The bases that ``project``, ``kernel_subgroup`` and ``primary_decompose``
-take without a new echelon are checked against a fresh one.
+The bases that ``project``, ``section``, ``kernel_subgroup`` and
+``primary_decompose`` take without a new echelon of their generators are
+checked against a fresh one.
 """
 
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from groupwindows import GeneratingSet, WindowSubgroup, primary_decompose, project
+from groupwindows import GeneratingSet, WindowSubgroup, primary_decompose, project, section
 from groupwindows.synthesis import _socle_solve
 from groupwindows.torsion import FpEchelon
 from groupwindows.torsion import height_layer
@@ -78,6 +79,16 @@ def test_project_takes_the_basis_of_its_restricted_canonical_generators(g):
         proj = project(g, iv)
         assert proj.generators == tuple(x.restrict(iv) for x in g.canonical_generators)
         assert proj.basis == _fresh_basis(proj)
+
+
+@SETTINGS
+@given(small_groups(), st.data())
+def test_section_takes_the_basis_of_its_generators(g, data):
+    n = g.window.length
+    lo = data.draw(st.integers(1, n))
+    hi = data.draw(st.integers(lo, n))
+    sect = section(g, (lo, hi))
+    assert sect.basis == _fresh_basis(sect)
 
 
 @SETTINGS

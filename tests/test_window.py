@@ -85,6 +85,28 @@ def test_prefix_projection_computes_no_echelon(monkeypatch):
     assert calls == [3]
 
 
+def test_a_section_is_one_echelon_from_its_start(monkeypatch):
+    # the section on [a, b] echelons G's basis rows from a's first flat s on,
+    # width F - s, and reads the section's basis off it
+    from groupwindows import window as window_module
+
+    widths = []
+    real = window_module.row_lattice_basis
+
+    def counted(rows, width):
+        widths.append(width)
+        return real(rows, width)
+
+    w = window_of([4], [2, 3], [9], [8])
+    g = subgroup(w, (1, 1, 2, 3, 0), (0, 0, 1, 6, 4), (2, 0, 0, 0, 2))
+    g.basis
+    monkeypatch.setattr(window_module, "row_lattice_basis", counted)
+    for interval, s in (((1, 4), 0), ((1, 2), 0), ((2, 3), 1), ((3, 3), 3), ((4, 4), 4)):
+        widths.clear()
+        section(g, interval)
+        assert widths == [w.flat_length - s], interval
+
+
 def test_project_out_of_range():
     w = window_of([4], [2])
     with pytest.raises(InputError):
