@@ -34,9 +34,9 @@ from .window import (
     Element,
     WindowSubgroup,
     least_outside,
+    least_with_prefix,
     project,
     section,
-    solve_in_subgroup,
     torsion_subgroup,
 )
 
@@ -173,7 +173,9 @@ def _failure(g: WindowSubgroup, i: int, cap: int, order: bool) -> tuple[Element,
     """The witness and context of a depth i that no support bound up to cap serves.
 
     Without ``order`` the witness is a member of G whose [1, i]-prefix no
-    member supported in [1, cap] matches.
+    member supported in [1, cap] matches.  The failing projection is lifted
+    to the lexicographically least member of G that has it, read off G's
+    echelon rows (``least_with_prefix``).
     """
     context = {"i": i, "n": cap}
     if order:
@@ -182,8 +184,7 @@ def _failure(g: WindowSubgroup, i: int, cap: int, order: bool) -> tuple[Element,
     else:
         proj = least_outside(project(g, (1, i)), project(section(g, (1, cap)), (1, i)))
     context["projection_order"] = proj.order()
-    # a canonical member of G whose [1, i]- or [1, cap]-projection is proj
-    witness = solve_in_subgroup(g, proj, interval=(1, proj.window.length))
+    witness = least_with_prefix(g, proj.flat)
     if witness is None:
         raise InputError("prefix is not a projection of the subgroup")
     return witness, context

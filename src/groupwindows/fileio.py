@@ -60,6 +60,11 @@ def _expect_int(value, where: str) -> int:
     return value
 
 
+def _int_list(raw, where: str) -> list[int]:
+    """A list of integers; errors name ``where`` for the list, ``where[k]`` for an entry."""
+    return [_expect_int(v, f"{where}[{k}]") for k, v in enumerate(_expect_list(raw, where))]
+
+
 def _parse_components(raw, where: str) -> ProductWindow:
     comps = []
     for i, comp in enumerate(_expect_list(raw, where), start=1):
@@ -151,11 +156,7 @@ def _parse_support_map(raw, where: str, *, key_base: int):
         idx = _parse_index(key, where)
         if idx < key_base:
             raise InputError(f"{where}: index {idx} below {key_base}")
-        residues = tuple(
-            _expect_int(v, f"{where}[{key!r}][{j}]")
-            for j, v in enumerate(_expect_list(val, f"{where}[{key!r}]"))
-        )
-        items.append((idx, residues))
+        items.append((idx, tuple(_int_list(val, f"{where}[{key!r}]"))))
     items.sort()
     return tuple(items)
 
@@ -170,14 +171,10 @@ def parse_template(payload, where: str = "template") -> TemplateSpec:
         raise InputError(f"{where}.component_template: expected an object")
     period = _expect_int(ct.get("period", 0), f"{where}.component_template.period")
     orders_raw = _expect_list(ct.get("orders", None), f"{where}.component_template.orders")
-    orders = []
-    for i, comp in enumerate(orders_raw):
-        orders.append(
-            tuple(
-                _expect_int(m, f"{where}.component_template.orders[{i}][{j}]")
-                for j, m in enumerate(_expect_list(comp, f"{where}.component_template.orders[{i}]"))
-            )
-        )
+    orders = [
+        tuple(_int_list(comp, f"{where}.component_template.orders[{i}]"))
+        for i, comp in enumerate(orders_raw)
+    ]
     fixed = []
     fixed_raw = _expect_list(payload.get("fixed_generators", []), f"{where}.fixed_generators")
     for k, raw in enumerate(fixed_raw):
@@ -287,10 +284,7 @@ def parse_encoder(payload, where: str = "encoder") -> tuple[GeneratingSet, Produ
         for k, raw in enumerate(_expect_list(payload["generators"], f"{where}.generators"))
     ]
     socle_raw = payload.get("socle_elements")
-    heights = [
-        _expect_int(h, f"{where}.heights[{k}]")
-        for k, h in enumerate(_expect_list(payload["heights"], f"{where}.heights"))
-    ]
+    heights = _int_list(payload["heights"], f"{where}.heights")
     if socle_raw is not None:
         socle = [
             _parse_element(raw, window, f"{where}.socle_elements[{k}]")
@@ -311,10 +305,7 @@ def parse_encoder(payload, where: str = "encoder") -> tuple[GeneratingSet, Produ
         raise InputError(f"{where}.n_sequence: expected an object")
     for key, val in payload["n_sequence"].items():
         n_seq[_parse_index(key, f"{where}.n_sequence")] = _expect_int(val, f"{where}.n_sequence[{key!r}]")
-    orders = [
-        _expect_int(o, f"{where}.orders[{k}]")
-        for k, o in enumerate(_expect_list(payload["orders"], f"{where}.orders"))
-    ]
+    orders = _int_list(payload["orders"], f"{where}.orders")
     gs = GeneratingSet(
         prime=prime,
         blocks=tuple(blocks),
@@ -330,10 +321,7 @@ def parse_encoder(payload, where: str = "encoder") -> tuple[GeneratingSet, Produ
         )
     coords = payload.get("coordinates")
     if coords is not None:
-        coords = [
-            _expect_int(c, f"{where}.coordinates[{k}]")
-            for k, c in enumerate(_expect_list(coords, f"{where}.coordinates"))
-        ]
+        coords = _int_list(coords, f"{where}.coordinates")
     return gs, window, coords
 
 

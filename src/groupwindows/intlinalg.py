@@ -19,8 +19,8 @@ The three workhorses are
 
 Inside the library the Smith normal form serves only ``solve_mixed_modulus``,
 which applies the logs to vectors and never builds U or V, and which only
-``window.solve_in_subgroup`` calls: for the witness lift of a failing
-certificate and for the p^h-th roots of synthesis.
+``window.solve_in_subgroup`` calls, for the p^h-th roots of synthesis.  No
+certificate reaches it: failure witnesses are lifted off echelon rows.
 ``left_kernel_basis`` stays a public function of this module (the
 benchmark's tracer wraps it by name), but no library code calls it.
 """

@@ -16,9 +16,10 @@ rows from a on (``section``).  The torsion subgroup G[q] is one echelon of
 pairs (``kernel_subgroup``), built once per q and kept on G; every torsion
 subgroup inside an interval is a section of it.  Each subgroup also keeps
 its section orders, one list per start coordinate.  Least members are read
-off echelon rows (``least_in_difference``, ``least_with_prefix``); the Smith
-normal form serves only the lifts of ``solve_in_subgroup``.  Elements are
-built only at the edges: file I/O, witnesses, and generators written out.
+off echelon rows (``least_in_difference``, ``least_with_prefix``), and so are
+the failure witnesses lifted from a prefix; the Smith normal form serves only
+the p^h-th roots of synthesis (``solve_in_subgroup``).  Elements are built
+only at the edges: file I/O, witnesses, and generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
 one is known: ``section`` and ``kernel_subgroup`` pass the rows of their
@@ -650,23 +651,19 @@ def intersect_with_sum(g: WindowSubgroup, interval) -> WindowSubgroup:
     return section(g, interval)
 
 
-def membership_coefficients(
-    x: Element, g: WindowSubgroup, *, scale: int = 1, interval=None
-) -> list[int] | None:
+def membership_coefficients(x: Element, g: WindowSubgroup, *, scale: int = 1) -> list[int] | None:
     """Coefficients c with sum(c_j * scale * generator_j) == x, or None.
 
-    The sum runs over the canonical generators.  With ``interval``, x lives on
-    that sub-window and only the projection of the sum onto it must match.
+    The sum runs over the canonical generators; the Smith solve picks c, so
+    the answer depends on its pivoting.
     """
-    window = g.window if interval is None else g.window.subwindow(interval)
-    if x.window != window:
+    if x.window != g.window:
         raise InputError("element and subgroup live in different windows")
     gens = g.canonical_rows
     if not gens:
         return [] if x.is_zero() else None
-    s, e = (0, window.flat_length) if interval is None else g.window.flat_slice(interval)
-    A = IntMatrix.from_rows([[scale * gen[f] for gen in gens] for f in range(s, e)])
-    return solve_mixed_modulus(A, list(x.flat), list(window.flat_orders))
+    A = IntMatrix.from_rows([[scale * a for a in column] for column in zip(*gens)])
+    return solve_mixed_modulus(A, list(x.flat), list(g.window.flat_orders))
 
 
 def combine(g: WindowSubgroup, coefficients) -> Element:
@@ -685,13 +682,13 @@ def span(window: ProductWindow, elements) -> WindowSubgroup:
     return WindowSubgroup(window, tuple(elements))
 
 
-def solve_in_subgroup(
-    g: WindowSubgroup, target: Element, scale: int = 1, interval=None
-) -> Element | None:
-    """Find y in the subgroup with scale*y == target, canonically chosen.
+def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Element | None:
+    """A y in the subgroup with scale*y == target, or None.
 
-    With ``interval``, the target lives on that sub-window and only the
-    projection of scale*y onto it must match.
+    The library's one caller is the p^h-th root of ``synthesize_p``.  y is
+    the combination of the Smith solve's coefficients
+    (``membership_coefficients``), so which root it is depends on the
+    solve's pivoting; prefix lifts are ``least_with_prefix``.
     """
-    coeffs = membership_coefficients(target, g, scale=scale, interval=interval)
+    coeffs = membership_coefficients(target, g, scale=scale)
     return None if coeffs is None else combine(g, coeffs)

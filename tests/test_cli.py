@@ -523,3 +523,85 @@ def test_malformed_input_exits_3(case, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 3
     assert "input error:" in capsys.readouterr().err
+
+
+ENCODER = {
+    "prime": 2,
+    "orders": [2],
+    "generators": [[[1]]],
+    "blocks": [{"d": 1, "m": 1}],
+    "heights": [0],
+    "n_sequence": {"1": 1},
+    "components": [[2]],
+    "coordinates": [1],
+}
+
+
+def _template_with(**edit):
+    payload = json.loads(json.dumps(SHIFT_TEMPLATE))
+    for key, value in edit.items():
+        if key == "orders":
+            payload["component_template"]["orders"] = value
+        else:
+            payload["fixed_generators"][0]["support"] = value
+    return payload
+
+
+INT_LIST_ERRORS = {
+    "template-orders-entry": (
+        fileio.parse_template,
+        _template_with(orders=[[4, "x"]]),
+        "template.component_template.orders[0][1]: expected an integer, got 'x'",
+    ),
+    "template-orders-list": (
+        fileio.parse_template,
+        _template_with(orders=[4]),
+        "template.component_template.orders[0]: expected a list, got int",
+    ),
+    "support-residues-entry": (
+        fileio.parse_template,
+        _template_with(support={"1": [2], "2": [True]}),
+        "template.fixed_generators[0].support['2'][0]: expected an integer, got True",
+    ),
+    "support-residues-list": (
+        fileio.parse_template,
+        _template_with(support={"1": 2}),
+        "template.fixed_generators[0].support['1']: expected a list, got int",
+    ),
+    "encoder-heights-entry": (
+        fileio.parse_encoder, {**ENCODER, "heights": [0.5]}, "encoder.heights[0]: expected an integer, got 0.5"
+    ),
+    "encoder-heights-list": (
+        fileio.parse_encoder, {**ENCODER, "heights": "0"}, "encoder.heights: expected a list, got str"
+    ),
+    "encoder-orders-entry": (
+        fileio.parse_encoder, {**ENCODER, "orders": [None]}, "encoder.orders[0]: expected an integer, got None"
+    ),
+    "encoder-orders-list": (
+        fileio.parse_encoder, {**ENCODER, "orders": {}}, "encoder.orders: expected a list, got dict"
+    ),
+    "encoder-coordinates-entry": (
+        fileio.parse_encoder,
+        {**ENCODER, "coordinates": [1, "2"]},
+        "encoder.coordinates[1]: expected an integer, got '2'",
+    ),
+    "encoder-coordinates-list": (
+        fileio.parse_encoder, {**ENCODER, "coordinates": 1}, "encoder.coordinates: expected a list, got int"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT_LIST_ERRORS))
+def test_integer_list_errors_name_the_list_or_the_entry(case):
+    parse, payload, message = INT_LIST_ERRORS[case]
+    with pytest.raises(InputError) as exc:
+        parse(payload)
+    assert str(exc.value) == message
+
+
+def test_valid_integer_lists_parse():
+    gs, _, coords = fileio.parse_encoder(ENCODER)
+    assert (gs.heights, gs.orders, coords) == ((0,), (2,), [1])
+    template = fileio.parse_template(_template_with(orders=[[4]]))
+    assert template.component_orders == ((4,),)
+    assert template.fixed_generators[0].support == ((1, (2,)), (2, (1,)))

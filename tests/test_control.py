@@ -10,18 +10,20 @@ from groupwindows import (
     closure_window,
     controllability_certificate,
     controllability_index,
+    fileio,
     is_rectangular,
     is_weakly_controllable,
     is_weakly_observable,
     order_controllability_certificate,
     order_controllability_index,
+    primary_decompose,
     project,
     revalidate_witness,
     section,
     span,
     unroll_template,
 )
-from groupwindows.control import FAILS, HOLDS, UNDETERMINED
+from groupwindows.control import FAILS, HOLDS, PROPERTIES, UNDETERMINED
 from groupwindows.errors import InputError
 from groupwindows.window import kernel_subgroup, torsion_subgroup
 
@@ -482,3 +484,73 @@ def test_every_failure_witness_revalidates(shift_template):
     for cert, g in certs:
         if cert.status == FAILS:
             assert revalidate_witness(cert, g)
+
+
+def _differential_pool(shift_template):
+    """The 200 seeded groups of the certificate differential test, with their primary parts."""
+    pool = _section_order_pool(shift_template)[:200]
+    return [h for g in pool for h in [g] + [part.subgroup for part in primary_decompose(g).parts]]
+
+
+def test_no_certificate_computes_the_smith_form(shift_template, monkeypatch):
+    # a failure witness is lifted off G's echelon rows, so every certificate
+    # answers with the Smith normal form unavailable
+    import groupwindows
+    from groupwindows import intlinalg
+
+    def refuse(*args):
+        raise AssertionError("the Smith normal form was computed")
+
+    for module in (intlinalg, groupwindows):
+        monkeypatch.setattr(module, "smith_normal_form", refuse)
+    sources = [(shift_template, n) for n in range(2, 13)]
+    sources += [(g, None) for g in [closure_window(shift_template, n).group for n in range(2, 13)]]
+    sources += [(h, None) for h in _differential_pool(shift_template)]
+    witnesses = 0
+    for source, window in sources:
+        for prop in PROPERTIES:
+            witnesses += certify(source, prop, window=window).witness is not None
+    assert witnesses >= 150
+
+
+# the least lift differs from the Smith solve's: [[0],[2],[0,2],[0]] has the
+# same [1, 2]-prefix and is larger at the third coordinate
+LEAST_LIFT = (
+    {"components": [[3], [4], [2, 4], [2]],
+     "generators": [[[0], [3], [0, 3], [0]], [[0], [0], [0, 2], [1]], [[2], [0], [0, 0], [0]]]},
+    [[0], [2], [0, 0], [1]],
+)
+
+
+def _assert_least_lift(cert, g):
+    """The witness is the least listed member of G with its failing projection."""
+    mods = list(g.window.flat_orders)
+    ctx = cert.witness_context
+    length = ctx["n"] if cert.property == "order-controllable" else ctx["i"]
+    e = g.window.flat_slice((1, length))[1]
+    prefix = cert.witness.flat[:e]
+    lifts = [v for v in oracles.naive_span([x.flat for x in g.generators], mods) if v[:e] == prefix]
+    assert cert.witness.flat == min(lifts), (cert.property, g)
+
+
+def test_failure_witnesses_are_least_lifts(shift_template):
+    lifting = ("controllable", "weakly-controllable", "order-controllable")
+    sources = [(shift_template, n, unroll_template(shift_template, n).group) for n in range(2, 9)]
+    sources += [(g, None, g) for g in [closure_window(shift_template, n).group for n in range(2, 9)]]
+    sources += [(h, None, h) for h in _differential_pool(shift_template)]
+    checked = 0
+    for source, window, g in sources:
+        for prop in lifting:
+            cert = certify(source, prop, window=window)
+            if cert.witness is not None:
+                _assert_least_lift(cert, g)
+                checked += 1
+    assert checked >= 60
+
+    payload, witness = LEAST_LIFT
+    g = fileio.parse_group(payload)
+    for prop in ("controllable", "order-controllable"):
+        cert = certify(g, prop)
+        assert cert.status == FAILS and fileio.element_to_json(cert.witness) == witness
+        assert cert.witness_context["i"] == 2
+        _assert_least_lift(cert, g)

@@ -3,7 +3,7 @@
 ``perfbench/tracing.py`` wraps library functions by module and name, so a
 refactor that renames one would otherwise only break ``run.py --trace 1``.
 The tracer is loaded from its file, read-only, installed around one
-``check`` through ``cli.main`` and removed again.
+``check`` and one ``synthesize`` through ``cli.main`` and removed again.
 """
 
 import json
@@ -27,27 +27,43 @@ def _load_tracing():
     return module
 
 
-def test_tracer_installs_around_a_check(tmp_path, capsys):
-    path = tmp_path / "template.json"
-    path.write_text(json.dumps(RUNNING_EXAMPLE))
-    argv = ["check", "--input", str(path), "--property", "order-controllable", "--window", "6"]
-    assert cli.main(argv) == 1
+def _traced(argv, code, capsys):
+    """The tracer's metrics for one ``cli.main`` call, whose output it must not change."""
+    assert cli.main(argv) == code
     untraced = capsys.readouterr().out
 
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        code = cli.main(argv)
+        assert cli.main(argv) == code
     finally:
         tracer.uninstall()
-    assert code == 1
     assert capsys.readouterr().out == untraced
 
     metrics = {name: m["value"] for name, m in tracer.metrics(1).items()}
     assert set(metrics) == set(tracing.METRICS)
+    return metrics
+
+
+def test_tracer_installs_around_a_check(tmp_path, capsys):
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(RUNNING_EXAMPLE))
+    argv = ["check", "--input", str(path), "--property", "order-controllable", "--window", "6"]
+    metrics = _traced(argv, 1, capsys)
     assert metrics["control.certify.calls"] == 1
     assert metrics["intlinalg.lattice_basis.calls"] > 0
-    # kernels come from lattice bases; the Smith normal form only solves
+    # kernels come from lattice bases, and the failure witness from echelon rows
     assert metrics["intlinalg.kernel.calls"] == 0
+    assert metrics["intlinalg.snf.calls"] == metrics["intlinalg.solve.calls"] == 0
+
+
+def test_tracer_counts_the_smith_solves_of_a_synthesize(tmp_path, capsys):
+    template = tmp_path / "template.json"
+    template.write_text(json.dumps(RUNNING_EXAMPLE))
+    closure = tmp_path / "closure.json"
+    assert cli.main(["unroll", "--input", str(template), "--window", "6", "--closure", "--out", str(closure)]) == 0
+    argv = ["synthesize", "--input", str(closure), "--out", str(tmp_path / "enc.json")]
+    metrics = _traced(argv, 0, capsys)
+    # the p^h-th roots are the Smith normal form's one job
     assert metrics["intlinalg.snf.calls"] == metrics["intlinalg.solve.calls"] > 0

@@ -257,3 +257,23 @@ def test_clause_d_on_a_mixed_prime_group():
     )
     got, want = _twice(_checks, embedded, g)
     assert got == want == ("raised", "heights are defined inside p-groups")
+
+
+def test_implicit_direct_product_is_the_per_part_conjunction(shift_template):
+    # G is the direct sum of its p-parts, so the one spanning check of the
+    # embedded generators decides what the per-part checks decided
+    groups = [closure_window(shift_template, n).group for n in range(2, 9)]
+    groups += [h for g in _random_groups(314, 200) for h in [g] + [part.subgroup for part in primary_decompose(g).parts]]
+    synthesized = 0
+    for g in groups:
+        try:
+            result = synthesis.synthesize(g, accept_undetermined=True)
+        except InputError:
+            continue
+        parts = all(
+            synthesis.check_implicit_direct_product(enc.generating_set, enc.group)
+            for _, enc in result.combined.encoders
+        )
+        assert result.verdicts["implicit_direct_product"] == parts, g
+        synthesized += 1
+    assert synthesized >= 300
