@@ -17,15 +17,9 @@ from pathlib import Path
 from . import fileio
 from .control import FAILS, HOLDS, UNDETERMINED, PROPERTIES, certify
 from .errors import InputError, UndeterminedAtWindowError, WindowScaleError
-from .synthesis import (
-    check_implicit_direct_product,
-    synthesize,
-    verify_block_properties,
-    verify_isomorphic_encoder,
-)
+from .synthesis import CombinedEncoder, Encoder, synthesize, verify_block_properties
 from .templates import closure_window, unroll_template
 from .torsion import primary_decompose
-from .window import span
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -176,6 +170,17 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Re-check encoder files against their group and report every verdict.
+
+    A manifest's ``files`` keys name their files' primes, so each part has at
+    most one encoder.  Each part gets the clauses of
+    ``verify_block_properties``; the spanning and order verdicts, per part
+    and combined, come from ``CombinedEncoder.check``, one echelon of each
+    part's generators.  The part's ``implicit_direct_product`` detail is
+    always "socle span observability: holds": on a single window a listed
+    subgroup equals its window closure, so the weak observability of the
+    socle span cannot fail there.
+    """
     group = fileio.load_group_file(args.input)
     payload = fileio.load_json(args.encoder)
     dec = primary_decompose(group)
@@ -186,13 +191,17 @@ def cmd_verify(args) -> int:
             raise InputError(f"{args.encoder}.files: expected an object of file names")
         base = Path(args.encoder).parent
         for p_str, name in sorted(files.items()):
-            entries.append(fileio.load_encoder_file(str(base / name)))
+            entry = fileio.load_encoder_file(str(base / name))
+            if p_str != str(entry[0].prime):
+                raise InputError(
+                    f"{args.encoder}.files[{p_str!r}]: {name} encodes prime {entry[0].prime}"
+                )
+            entries.append(entry)
     else:
         entries.append(fileio.parse_encoder(payload, where=args.encoder))
 
-    report: dict = {"parts": {}, "combined": {}}
-    all_ok = True
-    embedded = []
+    parts = {}
+    encoders = []
     for gs, enc_window, coords in entries:
         try:
             part = dec.part(gs.prime)
@@ -210,37 +219,24 @@ def cmd_verify(args) -> int:
                 f"encoder coordinates for prime {gs.prime} do not match the group"
             )
         block_report = verify_block_properties(gs, part.subgroup)
-        iso = verify_isomorphic_encoder(gs, part.subgroup)
-        idp = check_implicit_direct_product(gs, part.subgroup)
-        part_out = {
+        parts[str(gs.prime)] = {
             name: {"pass": ok, "detail": detail}
-            for name, (ok, detail) in sorted(block_report.checks.items())
+            for name, (ok, detail) in block_report.checks.items()
         }
-        part_out["isomorphic_encoder"] = {"pass": iso, "detail": ""}
-        part_out["implicit_direct_product"] = {
-            "pass": bool(idp),
-            "detail": f"socle span observability: {idp.observability.status}",
-        }
-        ok = block_report.passed() and iso and bool(idp)
-        all_ok = all_ok and ok
-        report["parts"][str(gs.prime)] = part_out
-        for y in gs.generators:
-            embedded.append(part.embed(y, group.window))
+        encoders.append((gs.prime, Encoder(group=part.subgroup, generating_set=gs)))
 
-    spanning = span(group.window, embedded) == group
-    sizes = 1
-    for gs, _w, _c in entries:
-        for o in gs.orders:
-            sizes *= o
-    combined_ok = spanning and sizes == group.order()
-    report["combined"] = {
-        "spanning": spanning,
-        "coefficient_space": sizes,
-        "group_order": group.order(),
-        "bijective": combined_ok,
-    }
-    all_ok = all_ok and combined_ok
-    report["pass"] = all_ok
+    encoders.sort(key=lambda entry: entry[0])
+    verdicts, combined = CombinedEncoder(group, dec, tuple(encoders)).check()
+    for p, verdict in verdicts.items():
+        parts[str(p)]["isomorphic_encoder"] = {"pass": verdict["isomorphic_encoder"], "detail": ""}
+        parts[str(p)]["implicit_direct_product"] = {
+            "pass": verdict["implicit_direct_product"],
+            "detail": "socle span observability: holds",
+        }
+    all_ok = combined["bijective"] and all(
+        check["pass"] for part_out in parts.values() for check in part_out.values()
+    )
+    report = {"parts": parts, "combined": combined, "pass": all_ok}
     _emit(args.out, report)
     print(f"verify: {'pass' if all_ok else 'fail'}", file=sys.stderr)
     return EXIT_HOLDS if all_ok else EXIT_FAILS

@@ -239,6 +239,13 @@ def _engine(
     return indices, None, cap, testable, HOLDS
 
 
+def _unrolled(template: TemplateSpec, window: Optional[int]) -> WindowSubgroup:
+    """The template's group at the window; certifying a template needs one."""
+    if window is None:
+        raise InputError("template certification needs a window length")
+    return unroll_template(template, window).group
+
+
 def _controllability_certificate(
     source: Union[WindowSubgroup, TemplateSpec],
     prop: str,
@@ -249,9 +256,7 @@ def _controllability_certificate(
     _check_max_index(max_index)
     template = source if isinstance(source, TemplateSpec) else None
     if template is not None:
-        if window is None:
-            raise InputError("template certification needs a window length")
-        g = unroll_template(template, window).group
+        g = _unrolled(template, window)
     else:
         g = source
         if window is not None and window != g.window.length:
@@ -279,7 +284,7 @@ def _controllability_certificate(
         stabilization = {i: False for i in indices}
     if template is not None and status != UNDETERMINED:
         growth = max(margin, 1)
-        g2 = unroll_template(template, window + growth).group
+        g2 = _unrolled(template, window + growth)
         margin2 = _resolve_margin(g2, template)
         indices2, failure2, *_ = _engine(g2, prop, margin=margin2, max_index=testable)
         for i, n in indices.items():
@@ -499,17 +504,12 @@ def certify(
     _check_max_index(max_index)
     if prop == "rectangular":
         if isinstance(source, TemplateSpec):
-            if window is None:
-                raise InputError("template certification needs a window length")
-            source = unroll_template(source, window).group
+            source = _unrolled(source, window)
         return is_rectangular(source, max_index=max_index)
     if prop == "weakly-observable":
         if isinstance(source, TemplateSpec):
-            if window is None:
-                raise InputError("template certification needs a window length")
-            small = unroll_template(source, window).group
-            growth = max(source.margin(), 1)
-            big = unroll_template(source, window + growth).group
+            small = _unrolled(source, window)
+            big = _unrolled(source, window + max(source.margin(), 1))
             return is_weakly_observable(small, h_big=big)
         return is_weakly_observable(source)
     if prop == "weakly-controllable":

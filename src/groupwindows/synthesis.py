@@ -30,7 +30,6 @@ from .control import (
     HOLDS,
     UNDETERMINED,
     _resolve_margin,
-    is_weakly_observable,
     order_controllability_certificate,
 )
 from .errors import InputError, UndeterminedAtWindowError
@@ -410,66 +409,44 @@ def represent(z: Element, enc: Encoder) -> list[int]:
     return coeffs
 
 
-def verify_isomorphic_encoder(gs: GeneratingSet, g: WindowSubgroup) -> bool:
+def verify_isomorphic_encoder(gs: GeneratingSet, g: WindowSubgroup, spans: Optional[bool] = None) -> bool:
     """Exact window test: the coefficient map is a bijection onto the group.
 
     The map sum(k_m * y_m) is well defined on prod Z(o_m) exactly when the
     order of every y_m divides o_m.  A well-defined homomorphism onto the
-    group from a domain of the same cardinality is a bijection.
+    group from a domain of the same cardinality is a bijection.  ``spans``
+    is ``check_implicit_direct_product(gs, g)`` when the caller has it.
     """
     if any(o % y.order() for y, o in zip(gs.generators, gs.orders)):
         return False
-    return span(g.window, gs.generators) == g and prod(gs.orders) == g.order()
+    if spans is None:
+        spans = check_implicit_direct_product(gs, g)
+    return spans and prod(gs.orders) == g.order()
 
 
-@dataclass(frozen=True, eq=False)
-class ImplicitProductReport:
-    """Both routes to the implicit-direct-product verdict."""
-
-    image_matches: bool
-    observability: Certificate
-    determined: bool
-
-    def __bool__(self) -> bool:
-        return self.image_matches
-
-
-def check_implicit_direct_product(gs: GeneratingSet, g: WindowSubgroup) -> ImplicitProductReport:
+def check_implicit_direct_product(gs: GeneratingSet, g: WindowSubgroup) -> bool:
     """Does the finite-support coefficient image equal the finite-support part?
 
     At window scale the image of the finitely supported coefficient
     sequences is the span of the generators, and the finite-support part of
-    the group is the group itself, so the identity is a spanning check.  The
-    observability route reads the socle span of the scaled generators on
-    the one window at hand, literally.  Whether the socle elements lie in
-    G is clause (d) of ``verify_block_properties``, not a check here.
+    the group is the group itself, so the identity is one spanning check:
+    one echelon of the generators.  Whether the socle elements lie in G is
+    clause (d) of ``verify_block_properties``, not a check here.
     """
-    y_span = span(g.window, gs.generators)
-    image_matches = y_span == g
-    socle_span = span(g.window, gs.socle_elements)
-    cert = is_weakly_observable(socle_span)
-    return ImplicitProductReport(
-        image_matches=image_matches,
-        observability=cert,
-        determined=gs.determined,
-    )
+    return span(g.window, gs.generators) == g
 
 
 @dataclass(frozen=True, eq=False)
 class CombinedEncoder:
-    """Per-prime encoders stitched along the primary decomposition."""
+    """Per-prime encoders stitched along the primary decomposition.
+
+    At most one encoder per prime; each encoder's group is its prime's part.
+    ``check`` gives the verdicts that ``synthesize`` and ``verify`` report.
+    """
 
     group: WindowSubgroup
     decomposition: PrimaryDecomposition
     encoders: tuple[tuple[int, Encoder], ...]  # ascending primes
-
-    def embedded_generators(self) -> list[tuple[int, Element]]:
-        out = []
-        for p, enc in self.encoders:
-            part = self.decomposition.part(p)
-            for y in enc.generating_set.generators:
-                out.append((p, part.embed(y, self.group.window)))
-        return out
 
     def encode(self, coeff_map: Mapping[int, list]) -> Element:
         acc = self.group.window.zero()
@@ -492,6 +469,34 @@ class CombinedEncoder:
 
     def total_order(self) -> int:
         return prod(prod(enc.generating_set.orders) for _, enc in self.encoders)
+
+    def check(self) -> tuple[dict, dict]:
+        """The encoder verdicts per part and for the combined map onto G.
+
+        Each part's generators are echeloned once, by
+        ``check_implicit_direct_product``, and that verdict also serves
+        ``verify_isomorphic_encoder``.  G is the direct sum of its p-parts
+        over disjoint flats, so the embedded generators span G exactly when
+        every part is spanned by its own prime's generators; a part is
+        nontrivial, so one without an encoder is not spanned.
+        """
+        parts = {}
+        for p, enc in self.encoders:
+            gs, part = enc.generating_set, enc.group
+            spans = check_implicit_direct_product(gs, part)
+            parts[p] = {
+                "isomorphic_encoder": verify_isomorphic_encoder(gs, part, spans),
+                "implicit_direct_product": spans,
+            }
+        spanning = all(p in parts and parts[p]["implicit_direct_product"] for p in self.decomposition.primes)
+        size, order = self.total_order(), self.group.order()
+        combined = {
+            "spanning": spanning,
+            "coefficient_space": size,
+            "group_order": order,
+            "bijective": spanning and size == order,
+        }
+        return parts, combined
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,17 +570,10 @@ def synthesize(
         group=g, decomposition=decomposition, encoders=tuple(encs)
     )
 
-    embedded = [y for _, y in combined.embedded_generators()]
-    for y in embedded:
-        if not membership(y, g):
-            raise InputError("an embedded per-prime generator left the group")
-    # G is the direct sum of its p-parts, so the embedded generators span G
-    # exactly when each prime's generators span its part, which is what
-    # ``check_implicit_direct_product`` decides per part
-    spanning = span(g.window, embedded) == g
+    _, check = combined.check()
     verdicts = {
-        "isomorphic_encoder": spanning and combined.total_order() == g.order(),
-        "implicit_direct_product": spanning,
+        "isomorphic_encoder": check["bijective"],
+        "implicit_direct_product": check["spanning"],
         "determined": determined,
     }
     return SynthesisResult(

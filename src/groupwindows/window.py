@@ -404,8 +404,10 @@ class WindowSubgroup:
         return True
 
     def scaled(self, k: int) -> "WindowSubgroup":
-        """The subgroup k*G = { k*g : g in G }."""
+        """The subgroup k*G = { k*g : g in G }; 1*G is G, whose basis is known."""
         k = abs(k)
+        if k == 1:
+            return self
         got = self._scaled_cache.get(k)
         if got is None:
             rows = [[k * a for a in row] for row in self.canonical_rows]

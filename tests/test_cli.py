@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from groupwindows import WindowSubgroup, cli, fileio
+from groupwindows import WindowSubgroup, cli, fileio, primary_decompose
 from groupwindows.cli import main
 from groupwindows.errors import InputError, WindowScaleError
 
@@ -152,6 +153,32 @@ def test_synthesize_running_example_fails_without_override(template_path, tmp_pa
     assert not (tmp_path / "enc.p2.json").exists()
 
 
+# The exact bytes of every file `synthesize` and `verify` write on two inputs:
+# the running example's closure at N = 8 and the group Z(2) x Z(3).
+PINNED = json.loads((Path(__file__).parent / "pinned_outputs.json").read_text())
+
+
+def _pinned_inputs(case, tmp_path, template_path):
+    """The group file of a pinned case, made as a user would make it."""
+    if case == "closure-8":
+        group = tmp_path / "group.json"
+        argv = ["unroll", "--input", template_path, "--window", "8", "--closure", "--out", str(group)]
+        assert main(argv) == 0
+        return str(group)
+    return write(tmp_path, "z6.json", {"components": [[2, 3]], "generators": [[[1, 0]], [[0, 1]]]})
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_synthesize_and_verify_write_the_pinned_bytes(case, tmp_path, template_path):
+    group = _pinned_inputs(case, tmp_path, template_path)
+    enc = tmp_path / "enc.json"
+    assert main(["synthesize", "--input", group, "--out", str(enc)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["verify", "--input", group, "--encoder", str(enc), "--out", str(report)]) == 0
+    for name, text in sorted(PINNED[case].items()):
+        assert (tmp_path / name).read_text() == text, name
+
+
 def test_synthesize_verify_round_trip_on_closure(template_path, tmp_path):
     group_path = tmp_path / "c8.json"
     assert main(
@@ -224,6 +251,85 @@ def test_verify_reports_a_socle_element_of_order_p_squared(tmp_path, capsys):
     assert payload["pass"] is False
     failed = sorted(k for k, v in payload["parts"]["2"].items() if not v["pass"])
     assert {"a", "c", "d", "f"} <= set(failed)
+
+
+def _echelon_recorder(monkeypatch):
+    """Record every ``row_lattice_basis`` call of a command, but not the loaded group's own basis."""
+    from groupwindows import window as window_module
+
+    calls, paused = [], []
+    real_basis, real_load = window_module.row_lattice_basis, fileio.load_group_file
+
+    def recorded(rows, width):
+        if not paused:
+            calls.append(([tuple(r) for r in rows], width))
+        return real_basis(rows, width)
+
+    def load_group_file(path):
+        group = real_load(path)
+        paused.append(True)
+        group.basis
+        paused.pop()
+        return group
+
+    monkeypatch.setattr(window_module, "row_lattice_basis", recorded)
+    monkeypatch.setattr(fileio, "load_group_file", load_group_file)
+    return calls
+
+
+def _echelons_of_generators(calls, group, encoder_paths):
+    """How many recorded calls echelon each part's generators y.
+
+    ``span(window, ys).basis`` echelons the rows of ys followed by one
+    relation row per flat; the rows may be a part's own or embedded among
+    every part's in G's window.
+    """
+    dec = primary_decompose(group)
+    parts = {}
+    for path in encoder_paths:
+        gs, _window, _coords = fileio.load_encoder_file(path)
+        part = dec.part(gs.prime)
+        own = {y.flat for y in gs.generators}
+        parts[gs.prime] = (own, {part.embed(y, group.window).flat for y in gs.generators}, part)
+    every = set().union(*(embedded for _, embedded, _ in parts.values()))
+    counts = {}
+    for p, (own, embedded, part) in parts.items():
+        counts[p] = 0
+        for rows, width in calls:
+            gens = set(rows[: len(rows) - width])
+            if width == part.window.flat_length and gens == own:
+                counts[p] += 1
+            elif width == group.window.flat_length and embedded <= gens <= every:
+                counts[p] += 1
+    return counts
+
+
+def test_verify_echelons_each_parts_generators_once(template_path, tmp_path, monkeypatch):
+    # one echelon of each part's y decides every spanning verdict; verify
+    # used to echelon them in verify_isomorphic_encoder, in
+    # check_implicit_direct_product and, embedded, in its combined check
+    closure = tmp_path / "c16.json"
+    main(["unroll", "--input", template_path, "--window", "16", "--closure", "--out", str(closure)])
+    mixed = write(
+        tmp_path,
+        "mixed.json",
+        {
+            "components": [[4, 3], [2, 9], [4, 3]],
+            "generators": [
+                [[1, 1], [0, 0], [0, 0]], [[0, 0], [1, 3], [0, 0]],
+                [[2, 0], [1, 1], [0, 2]], [[0, 0], [0, 0], [1, 0]],
+            ],
+        },
+    )
+    for group, primes in ((str(closure), [2]), (mixed, [2, 3])):
+        out = tmp_path / "enc.json"
+        assert main(["synthesize", "--input", group, "--out", str(out)]) == 0
+        with monkeypatch.context() as patch:
+            calls = _echelon_recorder(patch)
+            assert main(["verify", "--input", group, "--encoder", str(out)]) == 0
+        encoders = [str(tmp_path / f"enc.p{p}.json") for p in primes]
+        counts = _echelons_of_generators(calls, fileio.load_group_file(group), encoders)
+        assert counts == dict.fromkeys(primes, 1), group
 
 
 def test_verify_shape_mismatch_exits_3(template_path, tmp_path):
@@ -505,6 +611,12 @@ MALFORMED_INPUTS = {
     ),
     "manifest-file-name-not-string": lambda tmp_path: _manifest(
         tmp_path, lambda m, _: m.update(files={"2": 5})
+    ),
+    "manifest-key-not-its-prime": lambda tmp_path: _manifest(
+        tmp_path, lambda m, _: m.update(files={"3": "enc.p2.json"})
+    ),
+    "manifest-prime-listed-twice": lambda tmp_path: _manifest(
+        tmp_path, lambda m, _: m.update(files={"2": "enc.p2.json", "3": "enc.p2.json"})
     ),
     "encoder-n-sequence-key-signed": lambda tmp_path: _manifest(tmp_path, _encoder_n_sequence_key),
     "support-key-underscore": _support_key("1_0"),

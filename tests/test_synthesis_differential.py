@@ -4,11 +4,14 @@ Each generating set, verify report and prefix witness is computed twice: as
 the library decides it, from the layers G[p] ∩ p^h G, and inside
 ``oracles.listing_reference()``, where every arena is listed and every
 candidate's height computed.  Encoder bytes, report checks and witnesses
-must agree, and so must the errors raised.
+must agree, and so must the errors raised.  The spanning verdicts of
+``synthesize`` and ``verify`` are checked against ``oracles.Lattice``.
 """
 
+import json
 import random
 from dataclasses import replace
+from math import prod
 
 import pytest
 
@@ -16,6 +19,7 @@ from groupwindows import (
     GeneratingSet,
     WindowSubgroup,
     certify,
+    cli,
     closure_window,
     fileio,
     primary_decompose,
@@ -259,21 +263,69 @@ def test_clause_d_on_a_mixed_prime_group():
     assert got == want == ("raised", "heights are defined inside p-groups")
 
 
-def test_implicit_direct_product_is_the_per_part_conjunction(shift_template):
-    # G is the direct sum of its p-parts, so the one spanning check of the
-    # embedded generators decides what the per-part checks decided
+def _lattice_verdicts(group_payload, encoder_payloads):
+    """``combined.spanning``, ``bijective`` and the group order, from ``oracles.Lattice``.
+
+    Each generator is placed in G's window at the flats its prime owns on
+    its encoder's coordinates, read off the file formats alone.
+    """
+    comps = group_payload["components"]
+    mods = [m for comp in comps for m in comp]
+    starts = [sum(len(c) for c in comps[:i]) for i in range(len(comps))]
+    gens = [[r for coord in gen for r in coord] for gen in group_payload["generators"]]
+    embedded, size = [], 1
+    for enc in encoder_payloads:
+        p = enc["prime"]
+        flats = [
+            starts[c - 1] + k for c in enc["coordinates"] for k, m in enumerate(comps[c - 1]) if m % p == 0
+        ]
+        for y in enc["generators"]:
+            row = [0] * len(mods)
+            for f, r in zip(flats, (r for coord in y for r in coord)):
+                row[f] = r
+            embedded.append(row)
+        for o in enc["orders"]:
+            size *= o
+    group = oracles.Lattice(mods, gens)
+    order = prod(mods) // prod(row[f] for f, row in enumerate(group.rows))
+    spanning = all(group.contains(y) for y in embedded) and all(
+        oracles.Lattice(mods, embedded).contains(x) for x in gens
+    )
+    return spanning, spanning and size == order, order
+
+
+def test_spanning_verdicts_match_the_lattice_oracle(shift_template, tmp_path):
+    # synthesize and verify read their spanning verdicts per part; G is the
+    # direct sum of its parts, so they must agree with one lattice check over
+    # G's window, and a mixed manifest missing one prime's file spans no longer
     groups = [closure_window(shift_template, n).group for n in range(2, 9)]
     groups += [h for g in _random_groups(314, 200) for h in [g] + [part.subgroup for part in primary_decompose(g).parts]]
-    synthesized = 0
-    for g in groups:
-        try:
-            result = synthesis.synthesize(g, accept_undetermined=True)
-        except InputError:
+    verified = dropped = 0
+    for k, g in enumerate(groups):
+        group_payload = fileio.group_to_json(g)
+        group = tmp_path / f"g{k}.json"
+        group.write_text(json.dumps(group_payload))
+        out = tmp_path / f"enc{k}.json"
+        if cli.main(["synthesize", "--input", str(group), "--override-undetermined", "--out", str(out)]) == 3:
             continue
-        parts = all(
-            synthesis.check_implicit_direct_product(enc.generating_set, enc.group)
-            for _, enc in result.combined.encoders
-        )
-        assert result.verdicts["implicit_direct_product"] == parts, g
-        synthesized += 1
-    assert synthesized >= 300
+        manifest = json.loads(out.read_text())
+        encoders = {p: json.loads((tmp_path / name).read_text()) for p, name in manifest["files"].items()}
+        spanning, bijective, order = _lattice_verdicts(group_payload, encoders.values())
+        verdicts = manifest["verdicts"]
+        assert (verdicts["implicit_direct_product"], verdicts["isomorphic_encoder"]) == (spanning, bijective), g
+        report = tmp_path / f"report{k}.json"
+        code = cli.main(["verify", "--input", str(group), "--encoder", str(out), "--out", str(report)])
+        combined = json.loads(report.read_text())["combined"]
+        assert (combined["spanning"], combined["bijective"], combined["group_order"]) == (spanning, bijective, order), g
+        assert code == (0 if json.loads(report.read_text())["pass"] else 1)
+        verified += 1
+        if len(encoders) > 1 and spanning:
+            drop = min(encoders)
+            del manifest["files"][drop]
+            out.write_text(json.dumps(manifest))
+            assert cli.main(["verify", "--input", str(group), "--encoder", str(out), "--out", str(report)]) == 1
+            combined = json.loads(report.read_text())["combined"]
+            assert combined["spanning"] is False
+            assert _lattice_verdicts(group_payload, [e for p, e in encoders.items() if p != drop])[0] is False
+            dropped += 1
+    assert verified >= 400 and dropped >= 40
