@@ -43,7 +43,7 @@ from .torsion import (
     is_p_group,
     p_valuation,
     primary_decompose,
-    socle_subgroup,
+    socle_echelon,
     socle_vector,
 )
 from .window import (
@@ -51,11 +51,9 @@ from .window import (
     WindowSubgroup,
     least_in_difference,
     membership,
-    project,
     section,
     solve_in_subgroup,
     span,
-    torsion_subgroup,
 )
 
 
@@ -82,6 +80,8 @@ class GeneratingSet:
     def __post_init__(self):
         if not (len(self.socle_elements) == len(self.generators) == len(self.heights)):
             raise InputError("generating set fields disagree on the generator count")
+        if any(b.size < 1 for b in self.blocks) or sum(b.size for b in self.blocks) != len(self.generators):
+            raise InputError("blocks must each add a generator and together list them all")
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -95,15 +95,15 @@ class GeneratingSet:
         return counts
 
 
-def _prefix_socle_vector(x: Element, d: int, p: int):
-    return socle_vector(x.restrict((1, d)), p)
+def _socle_widths(window, p: int):
+    """The socle coordinates, and w(d) for d = 0..N: how many of them lie on [1, d]."""
+    coords = _socle_coordinates(window, p)
+    return coords, [sum(f < end for f, _ in coords) for end in window.coord_starts]
 
 
-def _prefix_in_span(echelon: FpEchelon, window, d: int, p: int):
-    """The test whether a socle row's [1, d]-prefix lies in the echelon's span."""
-    width = window.flat_slice((1, d))[1]
-    halves = [(f, half) for f, half in _socle_coordinates(window, p) if f < width]
-    return lambda row: not any(echelon.reduce([row[f] // half for f, half in halves]))
+def _prefix_in_span(echelon: FpEchelon, coords, w: int):
+    """The test whether a socle row's first w socle coordinates lie in the echelon's span cut there."""
+    return lambda row: not any(echelon.reduce([row[f] // half for f, half in coords])[:w])
 
 
 def synthesize_p(
@@ -132,27 +132,24 @@ def synthesize_p(
         # family-level caveat
         n_sequence[i] = certificate.indices.get(i, n_window)
 
-    soc = socle_subgroup(g, p)
-    total_dim = p_valuation(soc.order(), p)
-    if total_dim == 0:
+    soc = socle_echelon(g, p)
+    if not soc.rows:
         return GeneratingSet(
             prime=p, blocks=(), socle_elements=(), generators=(), heights=(),
             n_sequence=n_sequence, determined=determined,
         )
 
-    def projected_dim(d: int) -> int:
-        return p_valuation(project(soc, (1, d)).order(), p)
-
+    coords, widths = _socle_widths(g.window, p)
     echelon = FpEchelon(p)
     xs: list[Element] = []
     ys: list[Element] = []
     heights: list[int] = []
     blocks: list[Block] = []
     d_prev = 0
-    while len(xs) < total_dim:
+    while len(xs) < len(soc.rows):
         d_k = None
         for d in range(d_prev + 1, n_window + 1):
-            target = projected_dim(d)
+            target = soc.rank_below(widths[d])
             if target > len(xs):
                 d_k = d
                 break
@@ -164,7 +161,7 @@ def synthesize_p(
         layers = HeightLayers(g, p, arena)
         below = [i for i, n in n_sequence.items() if n < d_k]
         lift_section = section(g, ((max(below) + 1) if below else 1, n_dk))
-        inside = _prefix_in_span(echelon, g.window, d_k, p)
+        inside = _prefix_in_span(echelon, coords, widths[d_k])
         added = 0
         while len(xs) < target:
             # the candidates are the arena members with a prefix outside the
@@ -183,7 +180,7 @@ def synthesize_p(
                 else:
                     y = solve_in_subgroup(g, z, scale=scale)
                     determined = False
-            echelon.add(_prefix_socle_vector(z, d_k, p))
+            echelon.add(socle_vector(z, p))
             xs.append(z)
             ys.append(y)
             heights.append(h)
@@ -219,53 +216,50 @@ class BlockReport:
 
 
 def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport:
-    """Re-check every structural clause of a generating set against its group."""
+    """Re-check every structural clause of a generating set against its group.
+
+    The span clauses compare subspaces of the socle G[p], on which
+    ``socle_vector`` is injective, as row spaces over the p-element field: a
+    projection onto [1, d] keeps the first w(d) socle coordinates, where an
+    echelon's pivots count its span's dimension (``FpEchelon.rank_below``).
+    Echelons of the socle, of the x_j so far and of both answer (c), eq1,
+    (d) and (f); (b) is eq1 projected onto (d_{k-1}, d_k], read off sliced
+    rows only where eq1 fails.  Every clause reading the socle vector of an
+    element that p does not kill fails.
+    """
     p = gs.prime
     checks = dict.fromkeys(("a", "b", "c", "d", "e", "f", "eq1"), (True, ""))
-    soc = socle_subgroup(g, p)
+    soc = socle_echelon(g, p)
+    coords, widths = _socle_widths(g.window, p)
+    vecs = [socle_vector(x, p) if p % x.order() == 0 else None for x in gs.socle_elements]
+    xs = FpEchelon(p)  # the x_j checked so far
+    joint = FpEchelon(p, soc.basis)  # the socle and the x_j checked so far
     counts = gs.block_counts()
     n_window = g.window.length
-    # an element p does not kill has no socle vector: clauses (a), (c), (d) and (f) fail on it
-    killed = [p % x.order() == 0 for x in gs.socle_elements]
 
     def put(name: str, ok: bool, detail: str = ""):
         if not ok and checks[name][0]:  # a clause keeps its first failure's detail
             checks[name] = (False, detail)
 
+    def sliced(rows, lo: int, hi: int) -> FpEchelon:
+        return FpEchelon(p, (row[lo:hi] for row in rows))
+
     d_prev = 0
     for k, block in enumerate(gs.blocks, start=1):
         d_k = block.d
+        g.window.check_interval((d_prev + 1, d_k))
         lo, hi = counts[k - 1], counts[k]
-        bk = gs.socle_elements[lo:hi]
         n_dk = gs.n_sequence.get(d_k, n_window)
+        w_prev, w = widths[d_prev], widths[d_k]
+        killed = None not in vecs[:hi]
 
         # (a) block projections independent on (d_{k-1}, d_k]
-        ech = FpEchelon(p)
-        ok_a = all(killed[lo:hi]) and all(ech.add(socle_vector(x.restrict((d_prev + 1, d_k)), p)) for x in bk)
-        put("a", ok_a, f"block {k}: projections on ({d_prev}, {d_k}] dependent" if not ok_a else "")
-
-        # (b) blocks so far generate the projected socle on (d_{k-1}, d_k]
-        seen = [x.restrict((d_prev + 1, d_k)) for x in gs.socle_elements[: hi]]
-        sub = g.window.subwindow((d_prev + 1, d_k))
-        ok_b = span(sub, seen) == project(soc, (d_prev + 1, d_k))
-        put("b", ok_b, f"block {k}: projected socle not covered" if not ok_b else "")
-
-        # (c) prefix projections form a basis of the projected socle on [1, d_k]
-        pref = [x.restrict((1, d_k)) for x in gs.socle_elements[: hi]]
-        subw = g.window.subwindow((1, d_k))
-        spans = span(subw, pref) == project(soc, (1, d_k))
-        ech = FpEchelon(p)
-        indep = all(killed[:hi]) and all(ech.add(socle_vector(x, p)) for x in pref)
-        put("c", spans and indep, f"block {k}: prefix projections not a basis" if not (spans and indep) else "")
-        put("eq1", spans, f"block {k}: projected socle differs from projected span" if not spans else "")
+        ok_a = None not in vecs[lo:hi] and len(sliced(vecs[lo:hi], w_prev, w).rows) == hi - lo
+        put("a", ok_a, f"block {k}: projections on ({d_prev}, {d_k}] dependent")
 
         # (d) membership, maximal height, nonincreasing heights
         layers = HeightLayers(g, p, (d_prev + 1, n_dk))
-        ech = FpEchelon(p)
-        for x, ok in zip(gs.socle_elements[:lo], killed):
-            if ok:
-                ech.add(_prefix_socle_vector(x, d_k, p))
-        inside = _prefix_in_span(ech, g.window, d_k, p)
+        inside = _prefix_in_span(xs, coords, w)
         prev_h = None
         for j in range(lo, hi):
             x = gs.socle_elements[j]
@@ -279,10 +273,21 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
             ok_max = h == best
             ok_mono = prev_h is None or h <= prev_h
             prev_h = h
-            if killed[j]:
-                ech.add(_prefix_socle_vector(x, d_k, p))
+            if vecs[j] is not None:
+                xs.add(vecs[j])
+                joint.add(vecs[j])
             ok_d = ok_member and ok_height and ok_max and ok_mono
-            put("d", ok_d, f"generator {j + 1}: membership/height/maximality violated" if not ok_d else "")
+            put("d", ok_d, f"generator {j + 1}: membership/height/maximality violated")
+
+        # (c) prefix projections form a basis of the projected socle on [1, d_k]
+        rank = xs.rank_below(w)
+        spans = killed and rank == soc.rank_below(w) == joint.rank_below(w)
+        put("c", spans and rank == hi, f"block {k}: prefix projections not a basis")
+        put("eq1", spans, f"block {k}: projected socle differs from projected span")
+
+        # (b) blocks so far generate the projected socle on (d_{k-1}, d_k]
+        ok_b = spans or killed and sliced(vecs[:hi], w_prev, w).basis == sliced(soc.basis, w_prev, w).basis
+        put("b", ok_b, f"block {k}: projected socle not covered")
 
         # (e) lifts: x = p^h y, y supported in [1, n_{d_k}], vanishing conditions
         for j in range(lo, hi):
@@ -293,24 +298,17 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
                 gs.n_sequence.get(i, n_window) >= d_k for i in y.support
             )
             ok_e = ok_divide and ok_support and ok_vanish
-            put("e", ok_e, f"generator {j + 1}: lift clause violated" if not ok_e else "")
+            put("e", ok_e, f"generator {j + 1}: lift clause violated")
 
         d_prev = d_k
 
-    # (f) the blocks split the socle against the deep tail
+    # (f) the blocks split the socle against the deep tail, its members zero on [1, d_last]:
+    # exactly when the x_j lie in the socle and their prefixes there are a basis of its prefixes
     if gs.blocks:
-        d_last = gs.blocks[-1].d
-        ech = FpEchelon(p)
-        indep_all = all(killed) and all(ech.add(socle_vector(x, p)) for x in gs.socle_elements)
-        if d_last < n_window:
-            tail = torsion_subgroup(g, p, (d_last + 1, n_window))
-        else:
-            tail = g.window.trivial_subgroup()
-        total = span(g.window, list(gs.socle_elements) + list(tail.canonical_generators))
-        covers = total == soc
-        split = len(gs.socle_elements) + p_valuation(tail.order(), p) == p_valuation(soc.order(), p)
-        ok_f = indep_all and covers and split
-        put("f", ok_f, "socle does not split as blocks plus tail" if not ok_f else "")
+        w = widths[gs.blocks[-1].d]
+        ok_f = None not in vecs and len(joint.rows) == len(soc.rows)
+        ok_f = ok_f and xs.rank_below(w) == len(vecs) == soc.rank_below(w)
+        put("f", ok_f, "socle does not split as blocks plus tail")
     return BlockReport(checks=checks)
 
 
@@ -355,11 +353,8 @@ def _socle_solve(gs: GeneratingSet, w: Element) -> Optional[list[int]]:
     """
     p = gs.prime
     size = len(gs.socle_elements)
-    ech = FpEchelon(p)
-    for m, x in enumerate(gs.socle_elements):
-        unit = [0] * size
-        unit[size - 1 - m] = 1
-        ech.add(list(socle_vector(x, p)) + unit)
+    units = ([int(k == size - 1 - m) for k in range(size)] for m in range(size))
+    ech = FpEchelon(p, (list(socle_vector(x, p)) + u for x, u in zip(gs.socle_elements, units)))
     target = socle_vector(w, p)
     rest = ech.reduce(list(target) + [0] * size)
     if any(rest[: len(target)]):

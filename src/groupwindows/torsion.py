@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
 
 from .errors import InputError
 from .window import (
@@ -86,28 +85,30 @@ def _from_socle_vector(window: ProductWindow, p: int, vec) -> Element:
 class FpEchelon:
     """A row space over the p-element field, kept in reduced row echelon form.
 
-    Vectors may differ in length; a shorter one reads as zero-padded to the
-    longer, so vectors can grow between calls.
+    Vectors all have one length.  Each row's pivot is its first nonzero
+    entry, 1, and every other row is 0 there; so the rows with a pivot below
+    w, cut to their first w entries, are a basis of the span cut to them
+    (``rank_below``).
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, vectors=()):
         self.p = p
-        self.width = 0  # longest vector added
         self.rows: dict[int, list[int]] = {}  # pivot column -> row, 1 there
+        for vec in vectors:
+            self.add(vec)
 
     def reduce(self, vec) -> list[int]:
         """The residue of ``vec`` modulo the span, zero at every pivot column."""
         p = self.p
         v = [a % p for a in vec]
         for piv, row in self.rows.items():
-            c = v[piv] if piv < len(v) else 0
+            c = v[piv]
             if c:
-                v = [(a - c * b) % p for a, b in zip_longest(v, row, fillvalue=0)]
+                v = [(a - c * b) % p for a, b in zip(v, row)]
         return v
 
     def add(self, vec) -> bool:
         """Add ``vec`` to the span; return whether it was independent."""
-        self.width = max(self.width, len(vec))
         v = self.reduce(vec)
         piv = next((j for j, a in enumerate(v) if a), None)
         if piv is None:
@@ -115,28 +116,30 @@ class FpEchelon:
         inv = pow(v[piv], -1, self.p)
         v = [(a * inv) % self.p for a in v]
         for j, row in self.rows.items():
-            c = row[piv] if piv < len(row) else 0
+            c = row[piv]
             if c:
-                self.rows[j] = [
-                    (a - c * b) % self.p for a, b in zip_longest(row, v, fillvalue=0)
-                ]
+                self.rows[j] = [(a - c * b) % self.p for a, b in zip(row, v)]
         self.rows[piv] = v
         return True
+
+    def rank_below(self, w: int) -> int:
+        """The dimension of the span cut to its first w entries: the pivots below w."""
+        return sum(piv < w for piv in self.rows)
 
     @property
     def basis(self) -> list[list[int]]:
         """The canonical reduced row echelon basis, rows ordered by pivot."""
-        return [self.rows[j] + [0] * (self.width - len(self.rows[j])) for j in sorted(self.rows)]
+        return [self.rows[j] for j in sorted(self.rows)]
+
+
+def socle_echelon(g: WindowSubgroup, p: int) -> FpEchelon:
+    """The socle G[p] as the span of its socle vectors."""
+    return FpEchelon(p, (socle_vector(x, p) for x in socle_subgroup(g, p).canonical_generators))
 
 
 def socle(g: WindowSubgroup, p: int) -> SocleBasis:
     """A canonical basis of the socle G[p]."""
-    _check_prime(p)
-    sub = socle_subgroup(g, p)
-    ech = FpEchelon(p)
-    for x in sub.canonical_generators:
-        ech.add(socle_vector(x, p))
-    basis = tuple(_from_socle_vector(g.window, p, v) for v in ech.basis)
+    basis = tuple(_from_socle_vector(g.window, p, v) for v in socle_echelon(g, p).basis)
     return SocleBasis(prime=p, basis=basis)
 
 

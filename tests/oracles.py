@@ -364,8 +364,10 @@ def listing_synthesize_p(g, p, certificate):
     """``synthesis.synthesize_p``, picking each generator from the listed arena."""
     from groupwindows.control import HOLDS, UNDETERMINED
     from groupwindows.errors import InputError
-    from groupwindows.synthesis import Block, GeneratingSet, _prefix_socle_vector
-    from groupwindows.torsion import FpEchelon, is_p_group, p_valuation, socle_dimension, socle_subgroup
+    from groupwindows.synthesis import Block, GeneratingSet
+    from groupwindows.torsion import (
+        FpEchelon, is_p_group, p_valuation, socle_dimension, socle_subgroup, socle_vector,
+    )
     from groupwindows.window import project, section
 
     if not is_p_group(g, p):
@@ -388,6 +390,13 @@ def listing_synthesize_p(g, p, certificate):
     def projected_dim(d):
         return p_valuation(project(soc, (1, d)).order(), p)
 
+    width = len(socle_vector(g.window.zero(), p))
+
+    def prefix_vector(z, d):
+        """The socle vector of z's [1, d]-prefix, zero-padded to the full socle width."""
+        v = socle_vector(z.restrict((1, d)), p)
+        return v + (0,) * (width - len(v))
+
     echelon = FpEchelon(p)
     xs, ys, heights, blocks = [], [], [], []
     d_prev = 0
@@ -406,14 +415,14 @@ def listing_synthesize_p(g, p, certificate):
         added = 0
         pool = [z for z in arena.elements() if not z.is_zero()]
         while len(xs) < target:
-            candidates = [z for z in pool if any(echelon.reduce(_prefix_socle_vector(z, d_k, p)))]
+            candidates = [z for z in pool if any(echelon.reduce(prefix_vector(z, d_k)))]
             if not candidates:
                 determined = False
                 break
             z, h, y, clean = _listing_max_height_pick(candidates, g, inner, lift_section, p)
             if not clean:
                 determined = False
-            echelon.add(_prefix_socle_vector(z, d_k, p))
+            echelon.add(prefix_vector(z, d_k))
             xs.append(z)
             ys.append(y)
             heights.append(h)

@@ -168,7 +168,7 @@ def _pinned_inputs(case, tmp_path, template_path):
     return write(tmp_path, "z6.json", {"components": [[2, 3]], "generators": [[[1, 0]], [[0, 1]]]})
 
 
-@pytest.mark.parametrize("case", sorted(PINNED))
+@pytest.mark.parametrize("case", ["closure-8", "z2-z3"])
 def test_synthesize_and_verify_write_the_pinned_bytes(case, tmp_path, template_path):
     group = _pinned_inputs(case, tmp_path, template_path)
     enc = tmp_path / "enc.json"
@@ -177,6 +177,40 @@ def test_synthesize_and_verify_write_the_pinned_bytes(case, tmp_path, template_p
     assert main(["verify", "--input", group, "--encoder", str(enc), "--out", str(report)]) == 0
     for name, text in sorted(PINNED[case].items()):
         assert (tmp_path / name).read_text() == text, name
+
+
+def _zero_heights(enc):
+    enc["heights"] = [0] * len(enc["heights"])
+    enc["orders"] = [enc["prime"]] * len(enc["orders"])
+
+
+def _sum_first_two_socle_elements(enc):
+    x0, x1 = enc["socle_elements"][:2]
+    mods = enc["components"]
+    enc["socle_elements"][0] = [
+        [(a + b) % m for a, b, m in zip(r0, r1, ms)] for r0, r1, ms in zip(x0, x1, mods)
+    ]
+
+
+# The failing reports of the closure at N = 8 with its p = 2 encoder tampered.
+@pytest.mark.parametrize(
+    "case, tamper",
+    [
+        ("closure-8-heights-zeroed", _zero_heights),
+        ("closure-8-first-socle-summed", _sum_first_two_socle_elements),
+    ],
+)
+def test_verify_writes_the_pinned_failing_report(case, tamper, tmp_path, template_path):
+    group = _pinned_inputs("closure-8", tmp_path, template_path)
+    enc = tmp_path / "enc.json"
+    assert main(["synthesize", "--input", group, "--out", str(enc)]) == 0
+    enc_path = tmp_path / "enc.p2.json"
+    payload = json.loads(enc_path.read_text())
+    tamper(payload)
+    enc_path.write_text(json.dumps(payload))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--input", group, "--encoder", str(enc), "--out", str(report)]) == 1
+    assert report.read_text() == PINNED[case]["report.json"]
 
 
 def test_synthesize_verify_round_trip_on_closure(template_path, tmp_path):
@@ -251,6 +285,51 @@ def test_verify_reports_a_socle_element_of_order_p_squared(tmp_path, capsys):
     assert payload["pass"] is False
     failed = sorted(k for k, v in payload["parts"]["2"].items() if not v["pass"])
     assert {"a", "c", "d", "f"} <= set(failed)
+
+
+def test_verify_fails_every_clause_reading_an_unkilled_element_where_it_is_read(tmp_path):
+    # x_1 = (2, 1) has order 4 but its prefix on [1, 1] has order 2: (b) and
+    # eq1 read x_1 from block 1 on, so they fail there
+    group = write(tmp_path, "g.json", {"components": [[4], [4]], "generators": [[[1], [0]], [[0], [1]]]})
+    out = tmp_path / "enc.json"
+    assert main(["synthesize", "--input", group, "--out", str(out)]) == 0
+    enc_path = tmp_path / "enc.p2.json"
+    enc = json.loads(enc_path.read_text())
+    assert enc["socle_elements"] == [[[2], [0]], [[0], [2]]]
+    enc["socle_elements"][0] = [[2], [1]]
+    enc_path.write_text(json.dumps(enc))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--input", group, "--encoder", str(out), "--out", str(report)]) == 1
+    clauses = json.loads(report.read_text())["parts"]["2"]
+    assert clauses["b"] == {"pass": False, "detail": "block 1: projected socle not covered"}
+    assert clauses["eq1"] == {"pass": False, "detail": "block 1: projected socle differs from projected span"}
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [{"d": 1, "m": 1}, {"d": 2, "m": 2}, {"d": 3, "m": 9}],
+        [],
+        [{"d": 1, "m": 2}, {"d": 2, "m": 1}, {"d": 3, "m": 3}],
+        [{"d": 1, "m": -1}, {"d": 3, "m": 3}],
+    ],
+)
+def test_verify_refuses_blocks_that_do_not_partition_the_generators(blocks, tmp_path, capsys):
+    group = write(
+        tmp_path,
+        "g.json",
+        {"components": [[2], [2], [2]], "generators": [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]]},
+    )
+    out = tmp_path / "enc.json"
+    assert main(["synthesize", "--input", group, "--out", str(out)]) == 0
+    enc_path = tmp_path / "enc.p2.json"
+    enc = json.loads(enc_path.read_text())
+    assert enc["blocks"] == [{"d": 1, "m": 1}, {"d": 2, "m": 2}, {"d": 3, "m": 3}]
+    enc["blocks"] = blocks
+    enc_path.write_text(json.dumps(enc))
+    capsys.readouterr()
+    assert main(["verify", "--input", group, "--encoder", str(out)]) == 3
+    assert "input error: blocks must" in capsys.readouterr().err
 
 
 def _echelon_recorder(monkeypatch):

@@ -16,7 +16,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from groupwindows import GeneratingSet, WindowSubgroup, primary_decompose, project, section
-from groupwindows.synthesis import _socle_solve
+from groupwindows.synthesis import Block, _socle_solve
 from groupwindows.torsion import FpEchelon
 from groupwindows.torsion import height_layer
 from groupwindows.window import (
@@ -258,23 +258,16 @@ def test_least_with_prefix_is_the_least_listed_member_with_it(g, data):
         assert got is not None and got.flat == min(with_prefix)
 
 
-def _pad(v, width):
-    return tuple(v) + (0,) * (width - len(v))
-
-
 @SETTINGS
 @given(st.sampled_from([2, 3, 5]), st.data())
 def test_fp_echelon_matches_brute_force_span(p, data):
-    # lengths only grow, as the prefix vectors of deeper blocks do in synthesis
-    lengths = sorted(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
-    vecs = [data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=n, max_size=n)) for n in lengths]
+    width = data.draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-2 * p, 2 * p), min_size=width, max_size=width)
+    vecs = data.draw(st.lists(entries, min_size=1, max_size=6))
     ech = FpEchelon(p)
-    span_set = {()}
-    width = 0
+    span_set = {(0,) * width}
     for v in vecs:
-        width = max(width, len(v))
-        span_set = {_pad(s, width) for s in span_set}
-        w = tuple(a % p for a in _pad(v, width))
+        w = tuple(a % p for a in v)
         independent = w not in span_set
         assert any(ech.reduce(v)) == independent
         assert ech.add(v) == independent
@@ -289,11 +282,11 @@ def test_fp_echelon_matches_brute_force_span(p, data):
         assert row[piv] == 1
         assert all(other[piv] == 0 for other in basis if other is not row)
     assert oracles.naive_span(basis, [p] * width) == span_set
-    # the basis is canonical: another insertion order gives the same rows
-    again = FpEchelon(p)
-    for v in reversed(vecs):
-        again.add(_pad(v, width))
-    assert again.basis == basis
+    # the pivots below w count the dimension of the span cut to its first w entries
+    for cut in range(width + 1):
+        assert p ** ech.rank_below(cut) == len({s[:cut] for s in span_set})
+    # the basis is canonical: another insertion order, or the vectors given at once, gives the same rows
+    assert FpEchelon(p, reversed(vecs)).basis == basis
 
 
 @st.composite
@@ -309,7 +302,7 @@ def socle_families(draw):
     xs = tuple(w.from_flat([a * h for a, h in zip(v, halves)]) for v in vectors)
     gs = GeneratingSet(
         prime=p,
-        blocks=(),
+        blocks=(Block(d=1, size=len(xs)),),
         socle_elements=xs,
         generators=xs,
         heights=(0,) * len(xs),

@@ -513,3 +513,25 @@ def test_height_layers_are_built_on_demand(shift_template, monkeypatch):
     built.clear()
     assert verify_block_properties(gs, g).passed()
     assert len(built) <= 9
+
+
+def test_verify_echelons_each_socle_element_a_bounded_number_of_times(shift_template, monkeypatch):
+    # the closure has one block per generator; every span clause reads the
+    # running echelons, so each x_j and each socle row is added a bounded
+    # number of times, where a fresh echelon of all earlier x_j per block
+    # grows like the square of the generator count
+    g = closure_window(shift_template, 32).group
+    gs = synthesize(g).generating_sets[2]
+    m, dim = len(gs.socle_elements), torsion.socle_dimension(g, 2)
+    assert len(gs.blocks) == m == 32
+    adds = 0
+    real_add = torsion.FpEchelon.add
+
+    def counted(self, vec):
+        nonlocal adds
+        adds += 1
+        return real_add(self, vec)
+
+    monkeypatch.setattr(torsion.FpEchelon, "add", counted)
+    assert verify_block_properties(gs, g).passed()
+    assert adds <= 3 * (m + dim)

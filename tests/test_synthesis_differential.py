@@ -26,6 +26,7 @@ from groupwindows import (
     section,
     synthesis,
     torsion,
+    window,
 )
 from groupwindows.control import HOLDS
 from groupwindows.errors import InputError
@@ -130,6 +131,34 @@ def test_random_groups_and_parts_match_listing():
         for h in [g] + [part.subgroup for part in primary_decompose(g).parts]:
             reports += _same_synthesis_and_reports(h)
     assert reports >= 400
+
+
+def test_verify_builds_no_lattice_span_or_projection(shift_template, monkeypatch):
+    # every span clause is read off socle rows: with the lattice span,
+    # projection and sub-window refusing, the reports are unchanged
+    cases = []
+    groups = [closure_window(shift_template, n).group for n in range(2, 13)]
+    for g in _random_groups(314, 200):
+        groups += [g] + [part.subgroup for part in primary_decompose(g).parts]
+    for g in groups:
+        result = _outcome(synthesis.synthesize, g, accept_undetermined=True)
+        if isinstance(result, tuple):
+            continue
+        for p, gs in result.generating_sets.items():
+            part = result.decomposition.part(p).subgroup
+            for variant in [gs] + _tampered(gs):
+                cases.append((variant, part, _outcome(_checks, variant, part)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice span or projection was built")
+
+    monkeypatch.setattr(synthesis, "span", refuse)
+    monkeypatch.setattr(window, "span", refuse)
+    monkeypatch.setattr(window, "project", refuse)
+    monkeypatch.setattr(window.ProductWindow, "subwindow", refuse)
+    assert len(cases) >= 400
+    for variant, part, want in cases:
+        assert _outcome(_checks, variant, part) == want
 
 
 def test_synthesize_p_under_arbitrary_index_maps(monkeypatch):
