@@ -9,9 +9,6 @@ from groupwindows import (
     ComponentGroup,
     ProductWindow,
     WindowSubgroup,
-    element_order,
-    intersect_with_sum,
-    membership,
     project,
     section,
 )
@@ -23,7 +20,7 @@ window = ProductWindow(
 print("flat factor orders:", window.flat_orders)
 
 x = window.element([[2], [1], [0, 1]])
-print("x =", x.residues, " support:", x.support, " order:", element_order(x))
+print("x =", x.residues, " support:", x.support, " order:", x.order())
 
 # the subgroup generated by two elements
 g = WindowSubgroup(
@@ -37,15 +34,14 @@ for gen in g.canonical_generators:
 
 # membership is a lattice question
 probe = window.element([[2], [2], [1, 0]])
-print("\n(2, 2, [1,0]) in G:", membership(probe, g))
-print("(1, 0, [0,0]) in G:", membership(window.element([[1], [0], [0, 0]]), g))
+print("\n(2, 2, [1,0]) in G:", g.contains(probe))
+print("(1, 0, [0,0]) in G:", g.contains(window.element([[1], [0], [0, 0]])))
 
 # projections restrict to a coordinate interval; sections keep the members
 # supported inside it
 print("\nprojection onto [1, 2]:", [e.flat for e in project(g, (1, 2)).canonical_generators])
 sec = section(g, (1, 2))
 print("members supported in [1, 2]:", sorted(e.flat for e in sec.elements()))
-print("intersect_with_sum is the same subgroup:", intersect_with_sum(g, (1, 2)) == sec)
 
 # two presentations of one subgroup share the canonical form
 h = WindowSubgroup(window, list(g.canonical_generators))

@@ -13,12 +13,12 @@ from groupwindows import (
     FixedGenerator,
     ShiftedGenerator,
     TemplateSpec,
+    WindowSubgroup,
     check_implicit_direct_product,
     closure_window,
     encode,
     order_controllability_certificate,
     represent,
-    span,
     synthesize_p,
     unroll_template,
     verify_block_properties,
@@ -60,4 +60,4 @@ print("represent back:", represent(z, enc))
 # the same family handed over in its raw arrangement does not encode the
 # closure: the span is too small, so the choice of generating set matters
 raw = unroll_template(template, 8).group
-print("\nraw family span == closure:", span(closure.window, raw.generators) == closure)
+print("\nraw family span == closure:", WindowSubgroup(closure.window, raw.generators) == closure)

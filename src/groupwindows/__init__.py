@@ -10,12 +10,8 @@ from .window import (
     Element,
     ProductWindow,
     WindowSubgroup,
-    element_order,
-    intersect_with_sum,
-    membership,
     project,
     section,
-    span,
 )
 from .templates import (
     FixedGenerator,
@@ -28,24 +24,18 @@ from .templates import (
 from .torsion import (
     PrimaryDecomposition,
     PrimaryPart,
-    SocleBasis,
     height,
-    max_height_prefix_witness,
     primary_decompose,
-    socle,
     socle_subgroup,
 )
 from .control import (
     Certificate,
     certify,
     controllability_certificate,
-    controllability_index,
     is_rectangular,
     is_weakly_controllable,
     is_weakly_observable,
     order_controllability_certificate,
-    order_controllability_index,
-    revalidate_witness,
 )
 from .synthesis import (
     Block,
@@ -80,7 +70,6 @@ __all__ = [
     "ProductWindow",
     "ShiftedGenerator",
     "SnfResult",
-    "SocleBasis",
     "SynthesisResult",
     "TemplateSpec",
     "UndeterminedAtWindowError",
@@ -91,30 +80,22 @@ __all__ = [
     "check_implicit_direct_product",
     "closure_window",
     "controllability_certificate",
-    "controllability_index",
-    "element_order",
     "encode",
     "height",
-    "intersect_with_sum",
     "is_rectangular",
     "is_weakly_controllable",
     "is_weakly_observable",
-    "max_height_prefix_witness",
-    "membership",
     "order_controllability_certificate",
-    "order_controllability_index",
     "primary_decompose",
     "project",
     "represent",
-    "revalidate_witness",
     "section",
     "smith_normal_form",
-    "socle",
     "socle_subgroup",
     "solve_mixed_modulus",
-    "span",
     "synthesize",
     "synthesize_p",
+    "unroll_template",
     "verify_block_properties",
     "verify_isomorphic_encoder",
 ]

@@ -2,10 +2,8 @@
 
 Exit codes: 0 the property holds or every requested check passed, 1 a
 property failed (a witness is in the output), 2 undetermined at this window,
-3 malformed input or shape mismatch, 4 scale limit (``WindowScaleError``,
-which only ``WindowSubgroup.elements`` raises; no command lists elements, so
-it is kept for library callers).  Outputs are canonical JSON, so identical
-inputs and flags produce byte-identical files.
+3 malformed input or shape mismatch.  Outputs are canonical JSON, so
+identical inputs and flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from pathlib import Path
 
 from . import fileio
 from .control import FAILS, HOLDS, UNDETERMINED, PROPERTIES, certify
-from .errors import InputError, UndeterminedAtWindowError, WindowScaleError
+from .errors import InputError, UndeterminedAtWindowError
 from .synthesis import CombinedEncoder, Encoder, synthesize, verify_block_properties
 from .templates import closure_window, unroll_template
 from .torsion import primary_decompose
@@ -25,7 +23,6 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_UNDETERMINED = 2
 EXIT_INPUT_ERROR = 3
-EXIT_SCALE_LIMIT = 4
 
 _STATUS_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNDETERMINED: EXIT_UNDETERMINED}
 
@@ -310,9 +307,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except WindowScaleError as exc:
-        print(f"scale limit: {exc}", file=sys.stderr)
-        return EXIT_SCALE_LIMIT
     except UndeterminedAtWindowError as exc:
         print(f"undetermined at window: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED

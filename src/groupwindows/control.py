@@ -70,21 +70,6 @@ class Certificate:
         return self.status == HOLDS
 
 
-def controllability_index(g: WindowSubgroup, i: int, cap: int) -> Optional[int]:
-    """Least n in [i, cap] with every [1,i]-prefix of G matched inside [1, n].
-
-    Decided by section orders, |G_[1,n]| |G_[i+1,N]| == |G| |G_[i+1,n]|
-    (``_matched``).  Returns None when no n up to cap works.
-    """
-    _check_index_args(g, i, cap)
-    return _index(g, i, cap)
-
-
-def _check_index_args(g: WindowSubgroup, i: int, cap: int):
-    if not (1 <= i <= cap <= g.window.length):
-        raise InputError(f"need 1 <= i <= cap <= N, got i={i}, cap={cap}, N={g.window.length}")
-
-
 def _matched(g: WindowSubgroup, i: int, n: int) -> bool:
     """pi_[1,i](G_[1,n]) == pi_[1,i](G), for i <= n, by section orders.
 
@@ -149,33 +134,14 @@ def _order_witness(g: WindowSubgroup, i: int, cap: int) -> Element:
     return least_outside(proj, offer)
 
 
-def order_controllability_index(
-    g: WindowSubgroup, i: int, cap: int
-) -> tuple[Optional[int], Optional[Element], Optional[dict]]:
-    """Least n in [i, cap] matching every prefix with an order-compatible member.
-
-    For each projection w of G onto [1, n] there must be a member supported in
-    [1, n] agreeing with w on [1, i] whose order divides the order of w.  When
-    no n up to cap works, returns (None, witness, context): the witness is a
-    member of G whose [1, cap]-projection has minimal order (ties broken by
-    least residue vector) among those whose every prefix-matching companion
-    fails the divisibility, and the context names the failing prefix depth and
-    support bound.
-    """
-    _check_index_args(g, i, cap)
-    n = _index(g, i, cap, order=True)
-    if n is not None:
-        return n, None, None
-    return (None, *_failure(g, i, cap, order=True))
-
-
 def _failure(g: WindowSubgroup, i: int, cap: int, order: bool) -> tuple[Element, dict]:
     """The witness and context of a depth i that no support bound up to cap serves.
 
     Without ``order`` the witness is a member of G whose [1, i]-prefix no
-    member supported in [1, cap] matches.  The failing projection is lifted
-    to the lexicographically least member of G that has it, read off G's
-    echelon rows (``least_with_prefix``).
+    member supported in [1, cap] matches; with it, one whose [1, cap]-projection
+    has no companion of dividing order (``_order_witness``).  The failing
+    projection is lifted to the lexicographically least member of G that has
+    it, read off G's echelon rows (``least_with_prefix``).
     """
     context = {"i": i, "n": cap}
     if order:
@@ -453,42 +419,6 @@ def is_weakly_observable(h: WindowSubgroup, *, h_big: Optional[WindowSubgroup] =
         stabilization=flags,
         notes={"mode": "two-window", "depth": n_small},
     )
-
-
-def revalidate_witness(cert: Certificate, g: WindowSubgroup) -> bool:
-    """Re-run the defining check on the certificate's witness alone."""
-    if cert.witness is None:
-        return False
-    w = cert.witness
-    if cert.property == "rectangular":
-        if g.contains(w):
-            return False
-        for i in range(1, g.window.length + 1):
-            if not project(g, (i, i)).contains(w.restrict((i, i))):
-                return False
-        return True
-    if cert.property == "weakly-observable":
-        depth = cert.witness_context["depth"]
-        inner = w.restrict((1, depth))
-        return project(g, (1, depth)).contains(inner) and not project(
-            section(g, (1, depth)), (1, depth)
-        ).contains(inner)
-    if cert.property in ("controllable", "weakly-controllable"):
-        i, n = cert.witness_context["i"], cert.witness_context["n"]
-        if not g.contains(w):
-            return False
-        prefix = w.restrict((1, i))
-        return not project(section(g, (1, n)), (1, i)).contains(prefix)
-    if cert.property == "order-controllable":
-        i, n = cert.witness_context["i"], cert.witness_context["n"]
-        if not g.contains(w):
-            return False
-        # valid iff no member supported in [1, n] of order dividing that of
-        # w|[1,n] shares its [1, i]-prefix
-        proj = w.restrict((1, n))
-        offers = torsion_subgroup(project(section(g, (1, n)), (1, n)), proj.order())
-        return not project(offers, (1, i)).contains(proj.restrict((1, i)))
-    raise InputError(f"unknown certificate property {cert.property!r}")
 
 
 def certify(

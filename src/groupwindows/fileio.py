@@ -286,30 +286,39 @@ def parse_encoder(payload, where: str = "encoder") -> tuple[GeneratingSet, Produ
     socle_raw = payload.get("socle_elements")
     heights = _int_list(payload["heights"], f"{where}.heights")
     if socle_raw is not None:
-        socle = [
+        xs = [
             _parse_element(raw, window, f"{where}.socle_elements[{k}]")
             for k, raw in enumerate(_expect_list(socle_raw, f"{where}.socle_elements"))
         ]
     else:
-        socle = [y.scale(prime**h) for y, h in zip(gens, heights)]
+        xs = [y.scale(prime**h) for y, h in zip(gens, heights)]
     blocks = []
     prev = 0
+    n_window = window.length
     for k, raw in enumerate(_expect_list(payload["blocks"], f"{where}.blocks")):
         if not isinstance(raw, dict) or "d" not in raw or "m" not in raw:
             raise InputError(f"{where}.blocks[{k}]: expected an object with keys 'd' and 'm'")
         m = _expect_int(raw["m"], f"{where}.blocks[{k}].m")
-        blocks.append(Block(d=_expect_int(raw["d"], f"{where}.blocks[{k}].d"), size=m - prev))
+        d = _expect_int(raw["d"], f"{where}.blocks[{k}].d")
+        if not 1 <= d <= n_window:
+            raise InputError(f"{where}.blocks[{k}].d: depth {d} outside [1, {n_window}]")
+        if blocks and d <= blocks[-1].d:
+            raise InputError(f"{where}.blocks[{k}].d: depth {d} not above the previous block's {blocks[-1].d}")
+        blocks.append(Block(d=d, size=m - prev))
         prev = m
     n_seq = {}
     if not isinstance(payload["n_sequence"], dict):
         raise InputError(f"{where}.n_sequence: expected an object")
     for key, val in payload["n_sequence"].items():
-        n_seq[_parse_index(key, f"{where}.n_sequence")] = _expect_int(val, f"{where}.n_sequence[{key!r}]")
+        n = _expect_int(val, f"{where}.n_sequence[{key!r}]")
+        if not 1 <= n <= n_window:
+            raise InputError(f"{where}.n_sequence[{key!r}]: index {n} outside [1, {n_window}]")
+        n_seq[_parse_index(key, f"{where}.n_sequence")] = n
     orders = _int_list(payload["orders"], f"{where}.orders")
     gs = GeneratingSet(
         prime=prime,
         blocks=tuple(blocks),
-        socle_elements=tuple(socle),
+        socle_elements=tuple(xs),
         generators=tuple(gens),
         heights=tuple(heights),
         n_sequence=n_seq,

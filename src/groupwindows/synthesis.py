@@ -50,10 +50,8 @@ from .window import (
     Element,
     WindowSubgroup,
     least_in_difference,
-    membership,
     section,
     solve_in_subgroup,
-    span,
 )
 
 
@@ -371,7 +369,7 @@ def represent(z: Element, enc: Encoder) -> list[int]:
     """
     gs = enc.generating_set
     p = gs.prime
-    if not membership(z, enc.group):
+    if not enc.group.contains(z):
         raise InputError("element does not belong to the encoder's group")
     coeffs = [0] * len(gs.generators)
     rem = z
@@ -428,7 +426,7 @@ def check_implicit_direct_product(gs: GeneratingSet, g: WindowSubgroup) -> bool:
     one echelon of the generators.  Whether the socle elements lie in G is
     clause (d) of ``verify_block_properties``, not a check here.
     """
-    return span(g.window, gs.generators) == g
+    return WindowSubgroup(g.window, gs.generators) == g
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,7 +452,7 @@ class CombinedEncoder:
         return acc
 
     def represent(self, z: Element) -> dict[int, list[int]]:
-        if not membership(z, self.group):
+        if not self.group.contains(z):
             raise InputError("element does not belong to the group")
         out = {}
         for p, enc in self.encoders:

@@ -1,7 +1,7 @@
 """p-primary structure of window subgroups.
 
-Socles, heights, maximal-height prefix witnesses, and the decomposition of a
-mixed-order subgroup into its p-parts.  The socle G[p] is the subgroup of
+Socles as F_p row spaces, heights and their layers, and the decomposition of
+a mixed-order subgroup into its p-parts.  The socle G[p] is the subgroup of
 elements killed by p, a vector space over the p-element field; the height of
 a nonzero x in a p-group counts how often x can be divided by p inside the
 group.
@@ -14,16 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import InputError
-from .window import (
-    Element,
-    ProductWindow,
-    WindowSubgroup,
-    least_with_prefix,
-    membership,
-    prime_power,
-    section,
-    torsion_subgroup,
-)
+from .window import Element, ProductWindow, WindowSubgroup, prime_power, torsion_subgroup
 
 
 def _check_prime(p: int):
@@ -44,18 +35,6 @@ def is_p_group(g: WindowSubgroup, p: int) -> bool:
     return e == p ** p_valuation(e, p)
 
 
-@dataclass(frozen=True)
-class SocleBasis:
-    """A basis of G[p]: independent elements of order p spanning the socle."""
-
-    prime: int
-    basis: tuple[Element, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
 def socle_subgroup(g: WindowSubgroup, p: int) -> WindowSubgroup:
     """The subgroup { x in G : p*x == 0 }."""
     _check_prime(p)
@@ -72,14 +51,6 @@ def socle_vector(x: Element, p: int) -> tuple[int, ...]:
     if any(p * r % m for r, m in zip(x.flat, x.window.flat_orders)):
         raise InputError("element is not killed by p")
     return tuple(x.flat[f] // half for f, half in _socle_coordinates(x.window, p))
-
-
-def _from_socle_vector(window: ProductWindow, p: int, vec) -> Element:
-    coords = _socle_coordinates(window, p)
-    flat = [0] * window.flat_length
-    for (f, half), a in zip(coords, vec):
-        flat[f] = (a % p) * half
-    return window.from_flat(flat)
 
 
 class FpEchelon:
@@ -137,16 +108,6 @@ def socle_echelon(g: WindowSubgroup, p: int) -> FpEchelon:
     return FpEchelon(p, (socle_vector(x, p) for x in socle_subgroup(g, p).canonical_generators))
 
 
-def socle(g: WindowSubgroup, p: int) -> SocleBasis:
-    """A canonical basis of the socle G[p]."""
-    basis = tuple(_from_socle_vector(g.window, p, v) for v in socle_echelon(g, p).basis)
-    return SocleBasis(prime=p, basis=basis)
-
-
-def socle_dimension(g: WindowSubgroup, p: int) -> int:
-    return p_valuation(socle_subgroup(g, p).order(), p)
-
-
 def height(x: Element, g: WindowSubgroup, p: int) -> int:
     """Largest n such that p**n * y == x is solvable with y in the group.
 
@@ -156,7 +117,7 @@ def height(x: Element, g: WindowSubgroup, p: int) -> int:
     _check_prime(p)
     if x.is_zero():
         raise InputError("height of the zero element is undefined")
-    if not membership(x, g):
+    if not g.contains(x):
         raise InputError("element does not belong to the subgroup")
     if not is_p_group(g, p):
         raise InputError("heights are defined inside p-groups")
@@ -201,65 +162,6 @@ class HeightLayers(Sequence):
             if found is not None:
                 return h, found
         return -1, None
-
-
-def max_height_prefix_witness(
-    x: Element,
-    i: int,
-    g: WindowSubgroup,
-    n_i: int,
-    n_sequence=None,
-) -> Element:
-    """A prefix-preserving socle element of maximal height inside the window.
-
-    Given x in G_[1,n_i][p] with a nonzero [1,i]-prefix, returns an element of
-    G_[1,n_i][p] with the same [1,i]-prefix whose height inside G_[1,n_i]
-    matches the height of x in G and is maximal among all such candidates.
-    When the prefix below i vanishes and some n_j < i is known (passed via
-    ``n_sequence``), heights are additionally realized inside G_[j+1,n_i].
-    Ties are broken by the lexicographically least residue vector.
-
-    The candidates of height at least h inside a section are the members of
-    its height-h layer with x's prefix, and the least of them is read off
-    the layer's echelon rows (``window.least_with_prefix``); the highest
-    layer of G_[1,n_i] with one gives the maximal height.
-    """
-    p = x.order()
-    _check_prime(p)
-    g.window.check_interval((i, n_i))
-    if not membership(x, g):
-        raise InputError("element does not belong to the subgroup")
-    if any(c > n_i for c in x.support):
-        raise InputError(f"element is not supported inside [1, {n_i}]")
-    prefix = x.restrict((1, i))
-    if prefix.is_zero():
-        raise InputError("the [1,i]-prefix of the element must be nonzero")
-    if not is_p_group(g, p):
-        raise InputError("witness search requires a p-group")
-
-    target = height(x, g, p)
-    inner = section(g, (1, n_i))
-
-    deep = None
-    if n_sequence and i >= 2 and x.restrict((1, i - 1)).is_zero():
-        js = [j for j, nj in n_sequence.items() if nj < i]
-        if js:
-            deep = section(g, (max(js) + 1, n_i))
-            # every candidate shares x's prefix, so lies in the deep section iff x does
-            if not deep.contains(x):
-                raise InputError("element does not belong to the subgroup")
-
-    def find(layer: WindowSubgroup) -> Element | None:
-        return least_with_prefix(layer, prefix.flat)
-
-    # x lies in layer 0, so some layer has a candidate
-    best, z = HeightLayers(inner, p, (1, g.window.length)).highest(find)
-    # prefer candidates realizing the ambient height, then the deep-section height
-    if best == target and deep is not None:
-        w = find(height_layer(deep, p, target))
-        if w is not None:
-            return w
-    return z
 
 
 @dataclass(frozen=True)

@@ -289,11 +289,6 @@ class Element:
         return Element(window, (0,) * s + self.flat + (0,) * (window.flat_length - e))
 
 
-def element_order(g: Element) -> int:
-    """Least n >= 1 with n*g == 0, the lcm of the coordinate residue orders."""
-    return g.order()
-
-
 class WindowSubgroup:
     """A subgroup of a window, identified by its canonical lattice basis.
 
@@ -459,14 +454,14 @@ class WindowSubgroup:
             table = self._suffix_tables[key] = list(accumulate(ratios[::-1], mul, initial=1))[::-1]
         return table[starts[b - 1]]
 
-    def elements(self, limit: int = ENUM_LIMIT) -> tuple[Element, ...]:
+    def elements(self) -> tuple[Element, ...]:
         """All elements, sorted by flat residue vector.  Exact and cached."""
         if self._elements_cache is not None:
             return self._elements_cache
         n = self.order()
-        if n > limit:
+        if n > ENUM_LIMIT:
             raise WindowScaleError(
-                f"subgroup has {n} elements, beyond the exact-scan limit {limit}"
+                f"subgroup has {n} elements, beyond the exact-scan limit {ENUM_LIMIT}"
             )
         mods = self.window.flat_orders
         gens = self.canonical_rows
@@ -639,20 +634,6 @@ def least_with_prefix(a: WindowSubgroup, prefix) -> Element | None:
     return a.window.from_flat(vec)
 
 
-def membership(x: Element, g: WindowSubgroup) -> bool:
-    """True when x is an integer combination of the generators modulo the moduli."""
-    return g.contains(x)
-
-
-def intersect_with_sum(g: WindowSubgroup, interval) -> WindowSubgroup:
-    """The members of the subgroup supported inside ``interval``.
-
-    Same computation as ``section``; callers use this name when they mean the
-    intersection with the direct sum over the interval.
-    """
-    return section(g, interval)
-
-
 def membership_coefficients(x: Element, g: WindowSubgroup, *, scale: int = 1) -> list[int] | None:
     """Coefficients c with sum(c_j * scale * generator_j) == x, or None.
 
@@ -678,10 +659,6 @@ def combine(g: WindowSubgroup, coefficients) -> Element:
         if c:
             flat = [a + c * b for a, b in zip(flat, row)]
     return g.window.from_flat(flat)
-
-
-def span(window: ProductWindow, elements) -> WindowSubgroup:
-    return WindowSubgroup(window, tuple(elements))
 
 
 def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Element | None:

@@ -4,8 +4,10 @@ Everything here works on flat residue tuples and plain loops, sharing no code
 with the library's lattice machinery, so oracle agreement is meaningful.
 ``enumeration_reference`` hands the library's certificate decisions to these
 loops, so a certificate can be recomputed by listing elements, and
-``listing_reference`` does the same for the synthesis, verify and prefix
-witness decisions, which it takes by listing socle elements and their heights.
+``listing_reference`` does the same for the synthesis and verify decisions,
+which it takes by listing socle elements and their heights.  The library's
+own decisions are reached through ``index_or_failure``, and certificate
+witnesses re-checked by ``revalidate_witness``.
 """
 
 from contextlib import contextmanager
@@ -336,6 +338,13 @@ def _xgcd(a, b):
 # every socle element of the arena and computing the height of each.
 
 
+def _socle_dimension(g, p):
+    """The dimension of G[p] over the p-element field, read off its order."""
+    from groupwindows.torsion import p_valuation, socle_subgroup
+
+    return p_valuation(socle_subgroup(g, p).order(), p)
+
+
 def _listing_max_height_pick(candidates, g, inner_section, lift_section, p):
     """First lex candidate of maximal ambient height with a realizable lift."""
     from groupwindows.errors import InputError
@@ -366,7 +375,7 @@ def listing_synthesize_p(g, p, certificate):
     from groupwindows.errors import InputError
     from groupwindows.synthesis import Block, GeneratingSet
     from groupwindows.torsion import (
-        FpEchelon, is_p_group, p_valuation, socle_dimension, socle_subgroup, socle_vector,
+        FpEchelon, is_p_group, p_valuation, socle_subgroup, socle_vector,
     )
     from groupwindows.window import project, section
 
@@ -380,7 +389,7 @@ def listing_synthesize_p(g, p, certificate):
     determined = certificate.status == HOLDS
     n_sequence = {i: certificate.indices.get(i, n_window) for i in range(1, n_window + 1)}
     soc = socle_subgroup(g, p)
-    total_dim = socle_dimension(g, p)
+    total_dim = _socle_dimension(g, p)
     if total_dim == 0:
         return GeneratingSet(
             prime=p, blocks=(), socle_elements=(), generators=(), heights=(),
@@ -441,8 +450,8 @@ def listing_synthesize_p(g, p, certificate):
 def listing_verify_block_properties(gs, g):
     """``synthesis.verify_block_properties``, with clause (d) decided over the listed arena."""
     from groupwindows.synthesis import BlockReport
-    from groupwindows.torsion import FpEchelon, height, socle_dimension, socle_subgroup, socle_vector
-    from groupwindows.window import project, section, span
+    from groupwindows.torsion import FpEchelon, height, socle_subgroup, socle_vector
+    from groupwindows.window import WindowSubgroup, project, section
 
     p = gs.prime
     checks = {name: (True, "") for name in ("a", "b", "c", "d", "e", "f", "eq1")}
@@ -468,12 +477,12 @@ def listing_verify_block_properties(gs, g):
 
         seen = [x.restrict((d_prev + 1, d_k)) for x in gs.socle_elements[:hi]]
         sub = g.window.subwindow((d_prev + 1, d_k))
-        ok_b = span(sub, seen) == project(soc, (d_prev + 1, d_k))
+        ok_b = WindowSubgroup(sub, seen) == project(soc, (d_prev + 1, d_k))
         put("b", ok_b, f"block {k}: projected socle not covered")
 
         pref = [x.restrict((1, d_k)) for x in gs.socle_elements[:hi]]
         subw = g.window.subwindow((1, d_k))
-        spans = span(subw, pref) == project(soc, (1, d_k))
+        spans = WindowSubgroup(subw, pref) == project(soc, (1, d_k))
         ech = FpEchelon(p)
         indep = all(ech.add(socle_vector(x, p)) for x in pref)
         put("c", spans and indep, f"block {k}: prefix projections not a basis")
@@ -522,69 +531,27 @@ def listing_verify_block_properties(gs, g):
             tail = socle_subgroup(section(g, (d_last + 1, n_window)), p)
         else:
             tail = g.window.trivial_subgroup()
-        covers = span(g.window, list(gs.socle_elements) + list(tail.canonical_generators)) == soc
-        tail_dim = socle_dimension(tail, p) if not tail.is_trivial() else 0
-        split = len(gs.socle_elements) + tail_dim == socle_dimension(g, p)
+        covers = WindowSubgroup(g.window, list(gs.socle_elements) + list(tail.canonical_generators)) == soc
+        tail_dim = _socle_dimension(tail, p) if not tail.is_trivial() else 0
+        split = len(gs.socle_elements) + tail_dim == _socle_dimension(g, p)
         put("f", indep_all and covers and split, "socle does not split as blocks plus tail")
     return BlockReport(checks=checks)
 
 
-def listing_max_height_prefix_witness(x, i, g, n_i, n_sequence=None):
-    """``torsion.max_height_prefix_witness``, scoring every listed candidate by its heights."""
-    from groupwindows.errors import InputError
-    from groupwindows.torsion import _check_prime, height, is_p_group, socle_subgroup
-    from groupwindows.window import section
-
-    p = x.order()
-    _check_prime(p)
-    g.window.check_interval((i, n_i))
-    if not g.contains(x):
-        raise InputError("element does not belong to the subgroup")
-    if any(c > n_i for c in x.support):
-        raise InputError(f"element is not supported inside [1, {n_i}]")
-    if x.restrict((1, i)).is_zero():
-        raise InputError("the [1,i]-prefix of the element must be nonzero")
-    if not is_p_group(g, p):
-        raise InputError("witness search requires a p-group")
-
-    target = height(x, g, p)
-    inner = section(g, (1, n_i))
-    if i + 1 <= n_i:
-        shifts = socle_subgroup(section(g, (i + 1, n_i)), p).elements()
-    else:
-        shifts = (g.window.zero(),)
-    candidates = sorted((x + s for s in shifts), key=lambda e: e.flat)
-    deep = None
-    if n_sequence and i >= 2 and x.restrict((1, i - 1)).is_zero():
-        js = [j for j, nj in n_sequence.items() if nj < i]
-        if js:
-            deep = section(g, (max(js) + 1, n_i))
-    scored = []
-    for cand in candidates:
-        h_inner = height(cand, inner, p) if not cand.is_zero() else -1
-        h_deep = height(cand, deep, p) if deep is not None and not cand.is_zero() else None
-        scored.append((h_inner, h_deep, cand))
-    best_h = max(s[0] for s in scored)
-    pool = [s for s in scored if s[0] == best_h]
-    exact = [s for s in pool if s[0] == target and (s[1] is None or s[1] == target)]
-    return min(exact or pool, key=lambda s: s[2].flat)[2]
-
-
 @contextmanager
 def listing_reference():
-    """Synthesize, verify and pick prefix witnesses by listing socle elements.
+    """Synthesize and verify by listing socle elements.
 
-    Inside the block, ``synthesis.synthesize_p``, ``verify_block_properties``
-    (in ``synthesis`` and in ``cli``) and ``torsion.max_height_prefix_witness``
-    are the listing versions above, as they were before the height filtration.
+    Inside the block, ``synthesis.synthesize_p`` and ``verify_block_properties``
+    (in ``synthesis`` and in ``cli``) are the listing versions above, as they
+    were before the height filtration.
     """
-    from groupwindows import cli, synthesis, torsion
+    from groupwindows import cli, synthesis
 
     swaps = [
         (synthesis, "synthesize_p", listing_synthesize_p),
         (synthesis, "verify_block_properties", listing_verify_block_properties),
         (cli, "verify_block_properties", listing_verify_block_properties),
-        (torsion, "max_height_prefix_witness", listing_max_height_prefix_witness),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in swaps]
     for module, name, fn in swaps:
@@ -594,3 +561,57 @@ def listing_reference():
     finally:
         for module, name, fn in saved:
             setattr(module, name, fn)
+
+
+def index_or_failure(g, i, cap, order=False):
+    """``control``'s least support bound n in [i, cap] for prefix depth i.
+
+    Returns (n, None, None), or (None, witness, context) from ``control._failure``
+    when no bound up to cap serves; with ``order`` the bound must also pass the
+    order condition of order controllability.
+    """
+    from groupwindows import control
+
+    n = control._index(g, i, cap, order=order)
+    if n is not None:
+        return n, None, None
+    return (None, *control._failure(g, i, cap, order))
+
+
+def revalidate_witness(cert, g):
+    """Re-run the defining check of the certificate's property on its witness alone."""
+    from groupwindows.errors import InputError
+    from groupwindows.window import project, section, torsion_subgroup
+
+    if cert.witness is None:
+        return False
+    w = cert.witness
+    if cert.property == "rectangular":
+        if g.contains(w):
+            return False
+        for i in range(1, g.window.length + 1):
+            if not project(g, (i, i)).contains(w.restrict((i, i))):
+                return False
+        return True
+    if cert.property == "weakly-observable":
+        depth = cert.witness_context["depth"]
+        inner = w.restrict((1, depth))
+        return project(g, (1, depth)).contains(inner) and not project(
+            section(g, (1, depth)), (1, depth)
+        ).contains(inner)
+    if cert.property in ("controllable", "weakly-controllable"):
+        i, n = cert.witness_context["i"], cert.witness_context["n"]
+        if not g.contains(w):
+            return False
+        prefix = w.restrict((1, i))
+        return not project(section(g, (1, n)), (1, i)).contains(prefix)
+    if cert.property == "order-controllable":
+        i, n = cert.witness_context["i"], cert.witness_context["n"]
+        if not g.contains(w):
+            return False
+        # valid iff no member supported in [1, n] of order dividing that of
+        # w|[1,n] shares its [1, i]-prefix
+        proj = w.restrict((1, n))
+        offers = torsion_subgroup(project(section(g, (1, n)), (1, n)), proj.order())
+        return not project(offers, (1, i)).contains(proj.restrict((1, i)))
+    raise InputError(f"unknown certificate property {cert.property!r}")

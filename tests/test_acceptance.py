@@ -26,7 +26,6 @@ from groupwindows import (
     section,
     smith_normal_form,
     solve_mixed_modulus,
-    span,
     synthesize,
     synthesize_p,
     unroll_template,
@@ -231,9 +230,9 @@ def test_criterion_4_generating_set_property_suite():
                 assert height(z, g, p) == min(h for c, h in zip(coeffs, hs) if c)
 
         # height preservation in the generated subgroup
-        y_span = span(g.window, gs.generators)
+        y_span = WindowSubgroup(g.window, gs.generators)
         assert y_span == g  # finite-support members lie in the span
-        x_span = span(g.window, gs.socle_elements)
+        x_span = WindowSubgroup(g.window, gs.socle_elements)
         for z in x_span.elements():
             if not z.is_zero():
                 assert height(z, g, p) == height(z, y_span, p)

@@ -5,7 +5,9 @@ import pytest
 
 from groupwindows import WindowSubgroup, cli, fileio, primary_decompose
 from groupwindows.cli import main
-from groupwindows.errors import InputError, WindowScaleError
+from groupwindows.errors import InputError
+
+import oracles
 
 SHIFT_TEMPLATE = {
     "component_template": {"period": 1, "orders": [[4]]},
@@ -332,6 +334,29 @@ def test_verify_refuses_blocks_that_do_not_partition_the_generators(blocks, tmp_
     assert "input error: blocks must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("blocks", [{"d": 2, "m": 1}, {"d": 1, "m": 2}], "blocks[1].d: depth 1 not above the previous block's 2"),
+        ("blocks", [{"d": 1, "m": 1}, {"d": 7, "m": 2}], "blocks[1].d: depth 7 outside [1, 2]"),
+        ("n_sequence", {"1": 9, "2": 2}, "n_sequence['1']: index 9 outside [1, 2]"),
+    ],
+    ids=["blocks-decreasing", "blocks-past-the-window", "n-sequence-past-the-window"],
+)
+def test_verify_names_an_encoder_depth_outside_the_window(key, value, message, tmp_path, capsys):
+    group = write(tmp_path, "g.json", {"components": [[4], [4]], "generators": [[[1], [0]], [[0], [1]]]})
+    out = tmp_path / "enc.json"
+    assert main(["synthesize", "--input", group, "--out", str(out)]) == 0
+    enc_path = tmp_path / "enc.p2.json"
+    enc = json.loads(enc_path.read_text())
+    assert (enc["blocks"], enc["n_sequence"]) == ([{"d": 1, "m": 1}, {"d": 2, "m": 2}], {"1": 1, "2": 2})
+    enc[key] = value
+    enc_path.write_text(json.dumps(enc))
+    capsys.readouterr()
+    assert main(["verify", "--input", group, "--encoder", str(out)]) == 3
+    assert capsys.readouterr().err == f"input error: {enc_path}.{message}\n"
+
+
 def _echelon_recorder(monkeypatch):
     """Record every ``row_lattice_basis`` call of a command, but not the loaded group's own basis."""
     from groupwindows import window as window_module
@@ -359,7 +384,7 @@ def _echelon_recorder(monkeypatch):
 def _echelons_of_generators(calls, group, encoder_paths):
     """How many recorded calls echelon each part's generators y.
 
-    ``span(window, ys).basis`` echelons the rows of ys followed by one
+    ``WindowSubgroup(window, ys).basis`` echelons the rows of ys followed by one
     relation row per flat; the rows may be a part's own or embedded among
     every part's in G's window.
     """
@@ -460,7 +485,7 @@ def test_certificates_embed_input_hash_and_revalidate(template_path, tmp_path):
     cert = json.loads(out.read_text())
     assert cert["input_sha256"] == fileio.sha256_of(SHIFT_TEMPLATE)
     # replay the witness against the unrolled group through the library
-    from groupwindows import Certificate, unroll_template, revalidate_witness
+    from groupwindows import Certificate, unroll_template
 
     template = fileio.parse_template(SHIFT_TEMPLATE)
     g = unroll_template(template, 6).group
@@ -478,7 +503,7 @@ def test_certificates_embed_input_hash_and_revalidate(template_path, tmp_path):
         stabilization={int(k): v for k, v in cert["stabilization"].items()},
         notes={},
     )
-    assert revalidate_witness(replay, g)
+    assert oracles.revalidate_witness(replay, g)
 
 
 def test_encoder_file_round_trip(template_path, tmp_path):
@@ -530,20 +555,6 @@ def test_synthesize_override_on_undetermined_window(tmp_path):
     assert manifest["verdicts"]["isomorphic_encoder"] is True
 
 
-def test_scale_limit_exits_4(tmp_path, monkeypatch, capsys):
-    # a scan over the element limit is not malformed input: own message, exit 4
-    path = write(tmp_path, "g.json", {"components": [[2]], "generators": [[[1]]]})
-
-    def refuse(*args, **kwargs):
-        raise WindowScaleError("subgroup has 2 elements, beyond the exact-scan limit 1")
-
-    monkeypatch.setattr(cli, "certify", refuse)
-    assert main(["check", "--input", path, "--property", "controllable"]) == 4
-    err = capsys.readouterr().err
-    assert "scale limit: subgroup has 2 elements" in err
-    assert "input error" not in err
-
-
 def test_check_lists_no_elements(template_path, tmp_path, monkeypatch):
     # every check is decided by lattice inclusions, so none lists elements
     def refuse(self, *args, **kwargs):
@@ -567,9 +578,7 @@ def test_check_lists_no_elements(template_path, tmp_path, monkeypatch):
 
 def test_synthesize_and_verify_list_no_elements(template_path, tmp_path, monkeypatch):
     # generators are picked and re-checked from the height filtration, so
-    # neither command, nor the prefix witness, lists elements
-    from groupwindows import max_height_prefix_witness, section, socle
-
+    # neither command lists elements
     closure = tmp_path / "c12.json"
     assert main(["unroll", "--input", template_path, "--window", "12", "--closure", "--out", str(closure)]) == 0
     mixed = write(tmp_path, "mixed.json", {
@@ -587,10 +596,6 @@ def test_synthesize_and_verify_list_no_elements(template_path, tmp_path, monkeyp
         assert len(json.loads(out.read_text())["primes"]) == k + 1
         assert main(["verify", "--input", group, "--encoder", str(out), "--out", str(report)]) == 0
         assert json.loads(report.read_text())["pass"] is True
-
-    g = fileio.load_group_file(str(closure))
-    x = socle(section(g, (1, 3)), 2).basis[0]
-    assert max_height_prefix_witness(x, 1, g, 3).restrict((1, 1)) == x.restrict((1, 1))
 
 
 def test_synthesize_large_arena_exits_0(tmp_path):

@@ -9,18 +9,14 @@ from groupwindows import (
     certify,
     closure_window,
     controllability_certificate,
-    controllability_index,
     fileio,
     is_rectangular,
     is_weakly_controllable,
     is_weakly_observable,
     order_controllability_certificate,
-    order_controllability_index,
     primary_decompose,
     project,
-    revalidate_witness,
     section,
-    span,
     unroll_template,
 )
 from groupwindows.control import FAILS, HOLDS, PROPERTIES, UNDETERMINED
@@ -38,14 +34,14 @@ def test_controllability_index_rectangular_is_i():
     w = window_of([4], [2], [4])
     full = w.full_subgroup()
     for i in range(1, 4):
-        assert controllability_index(full, i, 3) == i
+        assert oracles.index_or_failure(full, i, 3)[0] == i
 
 
 def test_controllability_index_trivial_group():
     w = window_of([4], [4])
     triv = w.trivial_subgroup()
-    assert controllability_index(triv, 1, 2) == 1
-    assert controllability_index(triv, 2, 2) == 2
+    assert oracles.index_or_failure(triv, 1, 2)[0] == 1
+    assert oracles.index_or_failure(triv, 2, 2)[0] == 2
 
 
 def test_controllability_index_running_example(shift_template):
@@ -55,18 +51,7 @@ def test_controllability_index_running_example(shift_template):
     slices = oracles.coord_slices([[4]] * 6)
     assert not oracles.naive_controllability_ok(span_set, slices, [4] * 6, 1, 1)
     assert oracles.naive_controllability_ok(span_set, slices, [4] * 6, 1, 2)
-    assert controllability_index(g6, 1, 4) == 2
-
-
-def test_index_argument_validation():
-    w = window_of([4], [4])
-    full = w.full_subgroup()
-    with pytest.raises(InputError):
-        controllability_index(full, 0, 2)
-    with pytest.raises(InputError):
-        controllability_index(full, 2, 1)
-    with pytest.raises(InputError):
-        order_controllability_index(full, 1, 3)
+    assert oracles.index_or_failure(g6, 1, 4)[0] == 2
 
 
 def test_certificates_reject_max_index_below_one():
@@ -89,13 +74,13 @@ def test_order_controllability_index_rectangular():
     w = window_of([4], [2], [4])
     full = w.full_subgroup()
     for i in range(1, 4):
-        n, witness, _ = order_controllability_index(full, i, 3)
+        n, witness, _ = oracles.index_or_failure(full, i, 3, order=True)
         assert n == i and witness is None
 
 
 def test_order_controllability_index_running_example_absent(shift_template):
     g8 = unroll_template(shift_template, 8).group
-    n, witness, ctx = order_controllability_index(g8, 1, 6)
+    n, witness, ctx = oracles.index_or_failure(g8, 1, 6, order=True)
     assert n is None
     assert witness is not None and g8.contains(witness)
     assert ctx["projection_order"] == 2
@@ -301,7 +286,7 @@ def test_order_controllability_cert_running_example(shift_template):
         cert = certify(shift_template, "order-controllable", window=n)
         assert cert.status == FAILS
         g = unroll_template(shift_template, n).group
-        assert revalidate_witness(cert, g)
+        assert oracles.revalidate_witness(cert, g)
         assert cert.stabilization[cert.witness_context["i"]] is True
 
 
@@ -320,8 +305,8 @@ def test_certificates_monotone_and_ordered():
         if g is None:
             continue
         n = g.window.length
-        ctrl = [controllability_index(g, i, n) for i in range(1, n + 1)]
-        octl = [order_controllability_index(g, i, n)[0] for i in range(1, n + 1)]
+        ctrl = [oracles.index_or_failure(g, i, n)[0] for i in range(1, n + 1)]
+        octl = [oracles.index_or_failure(g, i, n, order=True)[0] for i in range(1, n + 1)]
         assert all(x is not None for x in ctrl)
         for a, b in zip(ctrl, ctrl[1:]):
             assert a <= b
@@ -343,7 +328,7 @@ def test_remark_i_window_analog():
         assert is_weakly_controllable(g).status in (HOLDS, UNDETERMINED)
         n = g.window.length
         for i in range(1, n + 1):
-            assert controllability_index(g, i, n) is not None
+            assert oracles.index_or_failure(g, i, n)[0] is not None
         checked += 1
 
 
@@ -386,7 +371,7 @@ def test_rectangular_examples():
     cert = is_rectangular(diag)
     assert cert.status == FAILS
     assert cert.witness.flat in {(1, 0), (0, 1)}
-    assert revalidate_witness(cert, diag)
+    assert oracles.revalidate_witness(cert, diag)
 
 
 def test_rectangular_implies_order_controllable_identity_indices():
@@ -451,12 +436,12 @@ def test_weak_observability_growth_mode_running_example(shift_template):
     cert = is_weakly_observable(small, h_big=big)
     assert cert.status == FAILS
     assert cert.witness is not None
-    assert revalidate_witness(cert, big)
+    assert oracles.revalidate_witness(cert, big)
     # the closure's socle span is observable across the same windows
     c_small = closure_window(shift_template, 6).group
     c_big = closure_window(shift_template, 8).group
-    soc_small = span(c_small.window, [x.scale(2) for x in c_small.canonical_generators])
-    soc_big = span(c_big.window, [x.scale(2) for x in c_big.canonical_generators])
+    soc_small = WindowSubgroup(c_small.window, [x.scale(2) for x in c_small.canonical_generators])
+    soc_big = WindowSubgroup(c_big.window, [x.scale(2) for x in c_big.canonical_generators])
     cert2 = is_weakly_observable(soc_small, h_big=soc_big)
     assert cert2.status == HOLDS
     assert cert2.stabilization == {6: True}
@@ -483,7 +468,7 @@ def test_every_failure_witness_revalidates(shift_template):
     certs.append((is_rectangular(diag), diag))
     for cert, g in certs:
         if cert.status == FAILS:
-            assert revalidate_witness(cert, g)
+            assert oracles.revalidate_witness(cert, g)
 
 
 def _differential_pool(shift_template):

@@ -1,10 +1,10 @@
 """Synthesis and verify from the height filtration against the listing reference.
 
-Each generating set, verify report and prefix witness is computed twice: as
-the library decides it, from the layers G[p] ∩ p^h G, and inside
+Each generating set and verify report is computed twice: as the library
+decides it, from the layers G[p] ∩ p^h G, and inside
 ``oracles.listing_reference()``, where every arena is listed and every
-candidate's height computed.  Encoder bytes, report checks and witnesses
-must agree, and so must the errors raised.  The spanning verdicts of
+candidate's height computed.  Encoder bytes and report checks must agree,
+and so must the errors raised.  The spanning verdicts of
 ``synthesize`` and ``verify`` are checked against ``oracles.Lattice``.
 """
 
@@ -23,14 +23,12 @@ from groupwindows import (
     closure_window,
     fileio,
     primary_decompose,
-    section,
     synthesis,
-    torsion,
     window,
 )
 from groupwindows.control import HOLDS
 from groupwindows.errors import InputError
-from groupwindows.torsion import HeightLayers, socle_subgroup
+from groupwindows.torsion import HeightLayers
 
 from conftest import random_mixed_group, random_staggered_group, window_of
 import oracles
@@ -68,10 +66,6 @@ def _encoder_bytes(g):
 
 def _checks(gs, g):
     return synthesis.verify_block_properties(gs, g).checks
-
-
-def _witness(*args, **kwargs):
-    return torsion.max_height_prefix_witness(*args, **kwargs)
 
 
 def _synthesize_p(g, p, certificate):
@@ -152,8 +146,7 @@ def test_verify_builds_no_lattice_span_or_projection(shift_template, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice span or projection was built")
 
-    monkeypatch.setattr(synthesis, "span", refuse)
-    monkeypatch.setattr(window, "span", refuse)
+    monkeypatch.setattr(synthesis, "WindowSubgroup", refuse)
     monkeypatch.setattr(window, "project", refuse)
     monkeypatch.setattr(window.ProductWindow, "subwindow", refuse)
     assert len(cases) >= 400
@@ -212,58 +205,6 @@ def test_synthesize_p_under_arbitrary_index_maps(monkeypatch):
 
 def _encoder_json(gs, g):
     return fileio.canonical_json_bytes(fileio.encoder_to_json(gs, g))
-
-
-def _dense_p_groups(seed, count):
-    """Subgroups spanned by up to three random members of windows of p-power factors.
-
-    Unlike the staggered groups, the generators spread over every coordinate,
-    so a socle element often shares its prefix with members of greater height.
-    """
-    rng = random.Random(seed)
-    for _ in range(count):
-        p = rng.choice((2, 3))
-        coords = [[p ** rng.randint(1, 3) for _ in range(rng.randint(1, 2))] for _ in range(rng.randint(2, 3))]
-        w = window_of(*coords)
-        gens = [w.from_flat([rng.randrange(m) for m in w.flat_orders]) for _ in range(rng.randint(1, 3))]
-        g = WindowSubgroup(w, gens)
-        if 1 < g.order() <= 1 << 9:
-            yield g
-
-
-def _prefix_witness_cases(g):
-    """(x, i, n_i) for every n_i >= i and socle element of G_[1,n_i] with a nonzero [1,i]-prefix."""
-    n = g.window.length
-    for i in range(1, n + 1):
-        for n_i in range(i, n + 1):
-            for p in g.window.primes():
-                for x in socle_subgroup(section(g, (1, n_i)), p).elements():
-                    if x.order() == p and not x.restrict((1, i)).is_zero():
-                        yield x, i, n_i
-
-
-def test_prefix_witness_matches_listing(shift_template):
-    groups = [closure_window(shift_template, n).group for n in range(2, 6)]
-    groups += [part.subgroup for g in _random_groups(2718, 24) for part in primary_decompose(g).parts]
-    groups += list(_dense_p_groups(2718, 40))
-    calls = moved = 0
-    for g in groups:
-        n = g.window.length
-        # no sequence, the certificate's, n_j = j, which asks for the deep section
-        # at every i, and n_j = 1 for 1 < j < n, whose deep section starts past i
-        maps = (
-            None,
-            certify(g, "order-controllable").indices,
-            {j: j for j in range(1, n + 1)},
-            {j: 1 for j in range(2, n)},
-        )
-        for x, i, n_i in _prefix_witness_cases(g):
-            for n_sequence in maps:
-                got, want = _twice(_witness, x, i, g, n_i, n_sequence=n_sequence)
-                assert got == want, (x.flat, i, n_i, n_sequence)
-                calls += 1
-                moved += got != x
-    assert calls >= 2000 and moved >= 500
 
 
 def test_clause_d_on_the_trivial_group(shift_template):
