@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--override-undetermined",
         action="store_true",
         dest="override_undetermined",
-        help="proceed on undetermined or failing certificates; stamps verdicts",
+        help="proceed on an undetermined certificate, or on a failing one where every primary part "
+        "certifies afresh and holds; stamps verdicts",
     )
     p_syn.set_defaults(func=cmd_synthesize)
 

@@ -41,15 +41,17 @@ from .torsion import (
     height,
     height_layer,
     is_p_group,
-    p_valuation,
     primary_decompose,
     socle_echelon,
     socle_vector,
 )
 from .window import (
+    ComponentGroup,
     Element,
+    ProductWindow,
     WindowSubgroup,
     least_in_difference,
+    least_with_prefix,
     section,
     solve_in_subgroup,
 )
@@ -342,64 +344,27 @@ def encode(enc: Encoder, coeffs) -> Element:
     return acc
 
 
-def _socle_solve(gs: GeneratingSet, w: Element) -> Optional[list[int]]:
-    """Coefficients over the p-element field with w == sum(alpha_m x_m).
-
-    Reduces socle_vector(w) | 0 against the rows socle_vector(x_m) | e_m: a
-    zero socle part leaves -alpha in the unit part.  The unit vectors run
-    backwards, so an x_m dependent on earlier ones gets alpha_m = 0.
-    """
-    p = gs.prime
-    size = len(gs.socle_elements)
-    units = ([int(k == size - 1 - m) for k in range(size)] for m in range(size))
-    ech = FpEchelon(p, (list(socle_vector(x, p)) + u for x, u in zip(gs.socle_elements, units)))
-    target = socle_vector(w, p)
-    rest = ech.reduce(list(target) + [0] * size)
-    if any(rest[: len(target)]):
-        return None
-    return [-rest[len(target) + size - 1 - m] % p for m in range(size)]
-
-
 def represent(z: Element, enc: Encoder) -> list[int]:
-    """Coefficients with encode(enc, coeffs) == z, by descending the order.
+    """The least coefficients k, lexicographically, with encode(enc, k) == z.
 
-    Walks down the order of the remainder one power of p at a time: the
-    top p-torsion layer is matched in the socle span of the x_m, divided
-    down through the lifts, and subtracted.
+    The encoder's graph is the subgroup of the window times prod Z(o_m)
+    spanned by the rows (y_m | e_m).  When every o_m kills its y_m, it holds
+    exactly the pairs (encode(k) | k), so its least member with prefix z
+    carries the least k (``least_with_prefix``); a bijective encoder has no
+    other.
     """
     gs = enc.generating_set
-    p = gs.prime
     if not enc.group.contains(z):
         raise InputError("element does not belong to the encoder's group")
-    coeffs = [0] * len(gs.generators)
-    rem = z
-    guard = 0
-    while not rem.is_zero():
-        guard += 1
-        if guard > 64:
-            raise UndeterminedAtWindowError("order descent failed to terminate")
-        order = rem.order()
-        s = p_valuation(order, p) - 1
-        w = rem.scale(p**s)
-        alpha = _socle_solve(gs, w)
-        if alpha is None:
-            raise UndeterminedAtWindowError(
-                "no representation within the window: the socle span misses a layer"
-            )
-        step = enc.group.window.zero()
-        for m, a in enumerate(alpha):
-            if a:
-                if gs.heights[m] < s:
-                    raise UndeterminedAtWindowError(
-                        "height profile too shallow to divide the representation"
-                    )
-                c = a * p ** (gs.heights[m] - s)
-                coeffs[m] = (coeffs[m] + c) % gs.orders[m]
-                step = step + gs.generators[m].scale(c)
-        rem = rem - step
-        if rem.order() >= order and not rem.is_zero():
-            raise UndeterminedAtWindowError("order descent stalled")
-    return coeffs
+    if any(o % y.order() for y, o in zip(gs.generators, gs.orders)):
+        raise InputError("a coefficient order does not kill its generator: the encoder is no map")
+    size = len(gs.generators)
+    graph = ProductWindow(enc.group.window.components + tuple(ComponentGroup((o,)) for o in gs.orders))
+    rows = [list(y.flat) + [int(k == m) for k in range(size)] for m, y in enumerate(gs.generators)]
+    lift = least_with_prefix(WindowSubgroup.from_rows(graph, rows), z.flat)
+    if lift is None:
+        raise UndeterminedAtWindowError("no representation within the window: the encoder misses the element")
+    return list(lift.flat[len(z.flat) :])
 
 
 def verify_isomorphic_encoder(gs: GeneratingSet, g: WindowSubgroup, spans: Optional[bool] = None) -> bool:
@@ -452,13 +417,16 @@ class CombinedEncoder:
         return acc
 
     def represent(self, z: Element) -> dict[int, list[int]]:
+        """Per-prime coefficients whose ``encode`` is z; a nonzero p-part needs a p-encoder."""
         if not self.group.contains(z):
             raise InputError("element does not belong to the group")
-        out = {}
-        for p, enc in self.encoders:
-            part = self.decomposition.part(p)
-            out[p] = represent(part.restrict(z), enc)
-        return out
+        primes = {p for p, _ in self.encoders}
+        for part in self.decomposition.parts:
+            if part.prime not in primes and not part.restrict(z).is_zero():
+                raise UndeterminedAtWindowError(
+                    f"no representation within the window: the {part.prime}-part has no encoder"
+                )
+        return {p: represent(self.decomposition.part(p).restrict(z), enc) for p, enc in self.encoders}
 
     def total_order(self) -> int:
         return prod(prod(enc.generating_set.orders) for _, enc in self.encoders)

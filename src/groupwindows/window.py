@@ -634,40 +634,25 @@ def least_with_prefix(a: WindowSubgroup, prefix) -> Element | None:
     return a.window.from_flat(vec)
 
 
-def membership_coefficients(x: Element, g: WindowSubgroup, *, scale: int = 1) -> list[int] | None:
-    """Coefficients c with sum(c_j * scale * generator_j) == x, or None.
-
-    The sum runs over the canonical generators; the Smith solve picks c, so
-    the answer depends on its pivoting.
-    """
-    if x.window != g.window:
-        raise InputError("element and subgroup live in different windows")
-    gens = g.canonical_rows
-    if not gens:
-        return [] if x.is_zero() else None
-    A = IntMatrix.from_rows([[scale * a for a in column] for column in zip(*gens)])
-    return solve_mixed_modulus(A, list(x.flat), list(g.window.flat_orders))
-
-
-def combine(g: WindowSubgroup, coefficients) -> Element:
-    """The combination sum(c_j * generator_j) over the canonical generators."""
-    rows = g.canonical_rows
-    if len(coefficients) != len(rows):
-        raise InputError("one coefficient per canonical generator required")
-    flat = [0] * g.window.flat_length
-    for c, row in zip(coefficients, rows):
-        if c:
-            flat = [a + c * b for a, b in zip(flat, row)]
-    return g.window.from_flat(flat)
-
-
 def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Element | None:
     """A y in the subgroup with scale*y == target, or None.
 
-    The library's one caller is the p^h-th root of ``synthesize_p``.  y is
-    the combination of the Smith solve's coefficients
-    (``membership_coefficients``), so which root it is depends on the
-    solve's pivoting; prefix lifts are ``least_with_prefix``.
+    The library's one caller is the p^h-th root of ``synthesize_p``.  The
+    Smith solve gives coefficients c with sum(c_j * scale * row_j) == target
+    over the canonical rows, and y is sum(c_j * row_j); so which root it is
+    depends on the solve's pivoting.  Prefix lifts are ``least_with_prefix``.
     """
-    coeffs = membership_coefficients(target, g, scale=scale)
-    return None if coeffs is None else combine(g, coeffs)
+    if target.window != g.window:
+        raise InputError("element and subgroup live in different windows")
+    rows = g.canonical_rows
+    if not rows:
+        return None if any(target.flat) else target
+    A = IntMatrix.from_rows([[scale * a for a in column] for column in zip(*rows)])
+    coeffs = solve_mixed_modulus(A, list(target.flat), list(g.window.flat_orders))
+    if coeffs is None:
+        return None
+    flat = [0] * g.window.flat_length
+    for c, row in zip(coeffs, rows):
+        if c:
+            flat = [a + c * b for a, b in zip(flat, row)]
+    return g.window.from_flat(flat)

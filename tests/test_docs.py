@@ -1,4 +1,4 @@
-"""The documented surface matches the code: README's exit codes and ``__all__``."""
+"""The documented surface matches the code: README's exit codes, its python blocks and ``__all__``."""
 
 import re
 from pathlib import Path
@@ -21,3 +21,11 @@ def test_every_exported_name_resolves():
     missing = [name for name in groupwindows.__all__ if not hasattr(groupwindows, name)]
     assert missing == []
     assert len(set(groupwindows.__all__)) == len(groupwindows.__all__)
+
+
+def test_readme_python_blocks_run():
+    # the library tour asserts its own round trips, so API drift fails here
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -218,7 +218,7 @@ def test_solve_solution_in_image_is_found():
 
 
 def _canonical_row_systems(seed, count):
-    """(A, b, mods) as ``membership_coefficients`` builds them.
+    """(A, b, mods) as ``solve_in_subgroup`` builds them.
 
     A holds a seeded group's canonical rows, times a scale and cut to an
     interval, as columns; b is the cut of a scaled member or of a random

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product as iproduct
 from math import prod
 
@@ -24,7 +25,7 @@ from groupwindows import (
     verify_block_properties,
     verify_isomorphic_encoder,
 )
-from groupwindows.errors import InputError
+from groupwindows.errors import InputError, UndeterminedAtWindowError
 
 from conftest import (
     oracle_isomorphic_encoder,
@@ -191,6 +192,42 @@ def test_represent_examples():
     for z in full.elements():
         coeffs = represent(z, enc)
         assert encode(enc, coeffs).flat == z.flat
+
+
+def test_represent_refuses_an_ill_defined_encoder():
+    # heights zeroed: the coefficient order 2 does not kill the generator of order 4
+    w = window_of([4], [2])
+    full = w.full_subgroup()
+    gs, _ = _synth(full, 2)
+    zeroed = replace(gs, heights=(0,) * len(gs.heights))
+    with pytest.raises(InputError, match="does not kill"):
+        represent(w.zero(), Encoder(group=full, generating_set=zeroed))
+
+
+def test_represent_refuses_a_member_outside_the_image():
+    # the encoder of one socle generator misses the other socle direction of the group
+    w = window_of([2], [2])
+    e1 = w.from_flat([1, 0])
+    gs = GeneratingSet(
+        prime=2, blocks=(Block(d=1, size=1),), socle_elements=(e1,), generators=(e1,), heights=(0,), n_sequence={}
+    )
+    enc = Encoder(group=w.full_subgroup(), generating_set=gs)
+    assert represent(e1, enc) == [1]
+    with pytest.raises(UndeterminedAtWindowError):
+        represent(w.from_flat([0, 1]), enc)
+
+
+def test_combined_represent_refuses_a_part_without_encoder():
+    # G = <(1, 1)> in Z2 x Z3 with the 3-encoder dropped, as a manifest with a file dropped gives
+    w = window_of([2], [3])
+    z = w.from_flat([1, 1])
+    res = synthesize(WindowSubgroup(w, [z]))
+    dropped = replace(res.combined, encoders=tuple((p, e) for p, e in res.combined.encoders if p != 3))
+    with pytest.raises(UndeterminedAtWindowError):
+        dropped.represent(z)
+    # an element with a zero 3-part still has its coefficients
+    assert dropped.represent(z.scale(3)) == {2: [1]}
+    assert dropped.encode({2: [1]}).flat == (1, 0)
 
 
 def test_verify_isomorphic_encoder_dependent_generator_appended():

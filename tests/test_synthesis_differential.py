@@ -11,6 +11,7 @@ and so must the errors raised.  The spanning verdicts of
 import json
 import random
 from dataclasses import replace
+from itertools import product
 from math import prod
 
 import pytest
@@ -27,7 +28,7 @@ from groupwindows import (
     window,
 )
 from groupwindows.control import HOLDS
-from groupwindows.errors import InputError
+from groupwindows.errors import InputError, UndeterminedAtWindowError
 from groupwindows.torsion import HeightLayers
 
 from conftest import random_mixed_group, random_staggered_group, window_of
@@ -299,3 +300,51 @@ def test_spanning_verdicts_match_the_lattice_oracle(shift_template, tmp_path):
             assert _lattice_verdicts(group_payload, [e for p, e in encoders.items() if p != drop])[0] is False
             dropped += 1
     assert verified >= 400 and dropped >= 40
+
+
+def _inverse_table(enc):
+    """Each image of ``encode`` mapped to the least coefficients giving it, by listing them all."""
+    table = {}
+    for coeffs in product(*(range(o) for o in enc.orders)):
+        table.setdefault(synthesis.encode(enc, coeffs).flat, list(coeffs))
+    return table
+
+
+def test_represent_matches_a_listed_inverse(shift_template):
+    # every encoder of the pool and of the closures at N <= 8 with at most 2^10
+    # coefficient vectors, its rotated generators where that is still a map,
+    # and its first generator times p, which neither spans nor is injective:
+    # represent gives the least listed preimage of each member, and refuses
+    # exactly the members no coefficients reach
+    groups = [closure_window(shift_template, n).group for n in range(2, 9)]
+    groups += list(_random_groups(314, 200))
+    members = encoders = refused = 0
+    for g in groups:
+        result = _outcome(synthesis.synthesize, g, accept_undetermined=True)
+        if isinstance(result, tuple):
+            continue
+        for _, enc in result.combined.encoders:
+            gs = enc.generating_set
+            if prod(gs.orders) > 1 << 10:
+                continue
+            ys = gs.generators
+            rotated = replace(gs, generators=ys[1:] + ys[:1])
+            shrunk = replace(gs, generators=(ys[0].scale(gs.prime),) + ys[1:])
+            for variant in (gs, rotated, shrunk):
+                e = synthesis.Encoder(group=enc.group, generating_set=variant)
+                if any(o % y.order() for y, o in zip(variant.generators, variant.orders)):
+                    with pytest.raises(InputError):
+                        synthesis.represent(e.group.window.zero(), e)
+                    continue
+                table = _inverse_table(e)
+                encoders += 1
+                for z in e.group.elements():
+                    want = table.get(z.flat)
+                    if want is None:
+                        with pytest.raises(UndeterminedAtWindowError):
+                            synthesis.represent(z, e)
+                        refused += 1
+                    else:
+                        assert synthesis.represent(z, e) == want
+                        members += 1
+    assert encoders >= 500 and members >= 20000 and refused >= 5000

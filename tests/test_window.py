@@ -10,7 +10,7 @@ from groupwindows import (
     section,
 )
 from groupwindows.errors import InputError
-from groupwindows.window import combine, membership_coefficients, prime_power
+from groupwindows.window import prime_power, solve_in_subgroup
 
 from conftest import subgroup, window_of
 import oracles
@@ -243,17 +243,19 @@ def test_canonical_form_presentation_independent():
 
 
 def test_coset_representative_roundtrip_preserves_order():
-    # members reconstruct exactly from their canonical-form coefficients
+    # members reconstruct exactly from the solve over their canonical rows,
+    # and a doubled member has a root in G that doubles back to it
     w = window_of([4], [4], [4])
     g = subgroup(w, (2, 1, 0), (0, 1, 1))
     for x in g.elements():
-        coeffs = membership_coefficients(x, g)
-        assert coeffs is not None
-        y = combine(g, coeffs)
+        y = solve_in_subgroup(g, x)
+        assert y is not None
         assert y.flat == x.flat
         assert y.order() == x.order()
+        root = solve_in_subgroup(g, x.scale(2), scale=2)
+        assert g.contains(root) and root.scale(2).flat == x.scale(2).flat
     outside = w.element([[1], [0], [0]])
-    assert membership_coefficients(outside, g) is None
+    assert solve_in_subgroup(g, outside) is None
 
 
 # ---------------------------------------------------------------- prime powers
