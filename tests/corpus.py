@@ -12,12 +12,19 @@ The jobs are:
 * the running example's template at N = 2 ... 16: the five checks,
   ``unroll`` and ``synthesize`` of the template, and the five checks,
   ``decompose``, ``synthesize`` and ``verify`` of its window closure;
+* a period-2 mixed-prime template (components Z2 x Z4 and Z3, a stride-2
+  pattern whose last instance is skipped at even N, residues outside
+  [0, m) and negative ones) at N = 2 ... 10: the five checks, ``unroll``,
+  ``unroll --closure`` and ``synthesize``; and one ``check`` of the same
+  template with stride 1, whose pattern does not fit (exit 3);
 * ``verify`` of every encoder written, tampered four ways: the generators
   reversed, the heights zeroed, the first socle element replaced by the sum
   of the first two, and the generators rotated by one.
 
 ``tests/corpus_digests.json`` pins the digests; ``tests/test_corpus.py``
-compares them.  To re-pin after a change that alters outputs on purpose::
+compares them.  ``PYTHONPATH=src python tests/corpus.py`` prints the jobs
+whose digests differ from the pins.  To re-pin after a change that alters
+outputs on purpose::
 
     PYTHONPATH=src python tests/corpus.py --write
 """
@@ -48,6 +55,15 @@ TEMPLATE = {
     "shifted_generators": [{"start": 2, "stride": 1, "pattern": {"0": [1], "1": [1]}}],
 }
 TEMPLATE_WINDOWS = range(2, 17)
+MIXED_TEMPLATE = {
+    "component_template": {"period": 2, "orders": [[2, 4], [3]]},
+    "fixed_generators": [{"support": {"1": [-1, 1], "2": [2]}}],
+    "shifted_generators": [
+        {"start": 1, "stride": 2, "pattern": {"0": [8, -1], "1": [-2], "2": [-5, 5]}},
+        {"start": 2, "stride": 2, "pattern": {"0": [-3], "1": [-6, 8]}},
+    ],
+}
+MIXED_TEMPLATE_WINDOWS = range(2, 11)
 
 
 def _random_element(rng, shapes, lo, hi):
@@ -183,6 +199,18 @@ def run_corpus(root: Path) -> dict[str, str]:
         closure = f"closure-{n}.json"
         corpus.run(f"closure-{n}/unroll", ["unroll", "--input", "template.json", *window, "--closure", "--out", closure])
         corpus.pipeline(f"closure-{n}", closure)
+    corpus.write("mixed-template.json", MIXED_TEMPLATE)
+    for n in MIXED_TEMPLATE_WINDOWS:
+        window = ["--input", "mixed-template.json", "--window", str(n)]
+        for prop in PROPERTIES:
+            corpus.run(f"mixed-template-{n}/check-{prop}", ["check", *window, "--property", prop])
+        corpus.run(f"mixed-template-{n}/unroll", ["unroll", *window])
+        corpus.run(f"mixed-template-{n}/unroll-closure", ["unroll", *window, "--closure"])
+        corpus.run(f"mixed-template-{n}/synthesize", ["synthesize", *window, "--out", f"mixed-template-{n}.enc.json"])
+    misfit = json.loads(json.dumps(MIXED_TEMPLATE))
+    misfit["shifted_generators"][0]["stride"] = 1
+    corpus.write("misfit-template.json", misfit)
+    corpus.run("misfit-template/check", ["check", "--input", "misfit-template.json", "--window", "6", "--property", "controllable"])
     return corpus.digests
 
 
@@ -201,4 +229,9 @@ if __name__ == "__main__":
     digests = compute()
     if "--write" in sys.argv[1:]:
         DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    else:
+        pinned = json.loads(DIGESTS.read_text())
+        for job in sorted(set(digests) | set(pinned)):
+            if digests.get(job) != pinned.get(job):
+                print(job)
     print(f"{len(digests)} jobs")
