@@ -19,8 +19,9 @@ finite window can only answer honestly inside a safety strip: with margin w
 (the widest generator in the narrowest presentation at hand), prefixes and
 support bounds are only trusted up to cap = N - w.  Checks that would need
 more than that report undetermined-at-window instead of guessing.  For
-template inputs the certificate is recomputed on a grown window and each
-index gets a flag recording whether it survived the growth.
+template inputs the index scan reruns on a grown window for its indices and
+failing depth only; each index gets a flag recording whether it survived
+the growth, and the witness is built once, for the failure reported.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def _failure(g: WindowSubgroup, i: int, cap: int, order: bool) -> tuple[Element,
     member supported in [1, cap] matches; with it, one whose [1, cap]-projection
     has no companion of dividing order (``_order_witness``).  The failing
     projection is lifted to the lexicographically least member of G that has
-    it, read off G's echelon rows (``least_with_prefix``).
+    it, read off G's echelon rows (``least_with_prefix``).  A certificate
+    builds one, for the failure it reports, after any grown-window scan.
     """
     context = {"i": i, "n": cap}
     if order:
@@ -189,8 +191,8 @@ def _plan(prop: str, n_window: int, margin: int, max_index: Optional[int]):
 
 def _engine(
     g: WindowSubgroup, prop: str, *, margin: int, max_index: Optional[int]
-) -> tuple[dict, Optional[tuple], int, int, str]:
-    """Plan and run the index scan: (indices, failure or None, cap, testable, status)."""
+) -> tuple[dict, Optional[int], int, int, str]:
+    """Plan and run the index scan: (indices, failing depth or None, cap, testable, status)."""
     testable, cap = _plan(prop, g.window.length, margin, max_index)
     if testable < 1 or cap < 1:
         return {}, None, cap, testable, UNDETERMINED
@@ -200,7 +202,7 @@ def _engine(
         # n_i never decreases in i: a pair (i + 1, n) that holds implies (i, n)
         n = _index(g, i, cap, order=order, start=indices.get(i - 1, 1))
         if n is None:
-            return indices, (i, *_failure(g, i, cap, order)), cap, testable, FAILS
+            return indices, i, cap, testable, FAILS
         indices[i] = n
     return indices, None, cap, testable, HOLDS
 
@@ -239,7 +241,7 @@ def _controllability_certificate(
         and prop in ("controllable", "order-controllable")
         and 0 < margin >= g.window.length
     )
-    indices, failure, cap, testable, status = _engine(
+    indices, failed, cap, testable, status = _engine(
         g, prop, margin=0 if universe_mode else margin, max_index=max_index
     )
 
@@ -252,25 +254,24 @@ def _controllability_certificate(
         growth = max(margin, 1)
         g2 = _unrolled(template, window + growth)
         margin2 = _resolve_margin(g2, template)
-        indices2, failure2, *_ = _engine(g2, prop, margin=margin2, max_index=testable)
+        indices2, failed2, *_ = _engine(g2, prop, margin=margin2, max_index=testable)
         for i, n in indices.items():
             stabilization[i] = indices2.get(i) == n
-        if failure is not None:
-            i = failure[0]
-            if i in indices2:
+        if failed is not None:
+            if failed in indices2:
                 # the grown window finds an index: the failure was a window
                 # artifact at the boundary, not a property of the family
                 status = UNDETERMINED
-                notes_extra["unstable_failure_index"] = i
-                failure = None
+                notes_extra["unstable_failure_index"] = failed
+                failed = None
             else:
-                stabilization[i] = failure2 is not None and failure2[0] == i
+                stabilization[failed] = failed2 == failed
     elif status == HOLDS and not universe_mode:
         trusted = g.window.length - margin if margin else g.window.length
         for i, n in indices.items():
             stabilization[i] = n <= trusted
 
-    _, witness, context = failure or (None, None, None)
+    witness, context = _failure(g, failed, cap, prop == "order-controllable") if failed else (None, None)
     notes = {
         "margin": margin,
         "cap": cap,

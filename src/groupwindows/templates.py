@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .window import ComponentGroup, Element, ProductWindow, WindowSubgroup, project
+from .window import ComponentGroup, ProductWindow, WindowSubgroup, project
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,15 @@ class UnrollResult:
     skipped: tuple[tuple[str, int], ...] = ()  # (kind or pattern index, start coord)
 
 
-def _place(window: ProductWindow, placements) -> Element:
-    rows = [list((0,) * len(c.factor_orders)) for c in window.components]
+def _place(window: ProductWindow, placements) -> list[int]:
+    """A flat row with each coordinate's residues, reduced, at its slice."""
+    row = [0] * window.flat_length
     for coord, residues in placements:
-        comp = window.components[coord - 1]
-        if len(residues) != len(comp.factor_orders):
-            raise InputError(
-                f"coordinate {coord}: expected {len(comp.factor_orders)} residues, "
-                f"got {len(residues)}"
-            )
-        rows[coord - 1] = [int(r) for r in residues]
-    return window.element(rows)
+        s, e = window.coord_slices[coord - 1]
+        if len(residues) != e - s:
+            raise InputError(f"coordinate {coord}: expected {e - s} residues, got {len(residues)}")
+        row[s:e] = (int(r) % m for r, m in zip(residues, window.flat_orders[s:e]))
+    return row
 
 
 def unroll_template(template: TemplateSpec, n: int) -> UnrollResult:
@@ -120,7 +118,9 @@ def unroll_template(template: TemplateSpec, n: int) -> UnrollResult:
 
     Fixed generators come first, then shifted instances ordered by start
     coordinate and pattern index.  Instances whose support does not fit in
-    [1, n] are skipped and recorded.
+    [1, n] are skipped and recorded.  Each generator is written straight
+    into a flat row, residues reduced into [0, m_f), and the rows span the
+    group (``WindowSubgroup.from_rows``).
     """
     window = template.window(n)
     for fg in template.fixed_generators:
@@ -129,7 +129,7 @@ def unroll_template(template: TemplateSpec, n: int) -> UnrollResult:
                 f"window length {n} is smaller than a fixed generator support "
                 f"reaching coordinate {fg.max_coordinate()}"
             )
-    gens = [_place(window, fg.support) for fg in template.fixed_generators]
+    rows = [_place(window, fg.support) for fg in template.fixed_generators]
     skipped = []
     instances = []
     for idx, sg in enumerate(template.shifted_generators):
@@ -143,8 +143,8 @@ def unroll_template(template: TemplateSpec, n: int) -> UnrollResult:
             start += sg.stride
     instances.sort(key=lambda t: (t[0], t[1]))
     for start, _idx, sg in instances:
-        gens.append(_place(window, [(start + off, res) for off, res in sg.pattern]))
-    return UnrollResult(window=window, group=WindowSubgroup(window, gens), skipped=tuple(skipped))
+        rows.append(_place(window, [(start + off, res) for off, res in sg.pattern]))
+    return UnrollResult(window=window, group=WindowSubgroup.from_rows(window, rows), skipped=tuple(skipped))
 
 
 def closure_window(template: TemplateSpec, n: int, lookahead: int | None = None) -> UnrollResult:

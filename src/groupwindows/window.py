@@ -12,14 +12,15 @@ generator rows plus the relations m_f e_f span an integer lattice of full
 rank F, and its canonical echelon (Hermite) basis is the subgroup's identity
 card.  A section G_[a,b], the members supported in [a, b], is the kernel of
 the projection onto the other coordinates, so it is one echelon of G's basis
-rows from a on (``section``).  The torsion subgroup G[q] is one echelon of
-pairs (``kernel_subgroup``), built once per q and kept on G; every torsion
-subgroup inside an interval is a section of it.  Each subgroup also keeps
-its section orders, one list per start coordinate.  Least members are read
-off echelon rows (``least_in_difference``, ``least_with_prefix``), and so are
-the failure witnesses lifted from a prefix; the Smith normal form serves only
-the p^h-th roots of synthesis (``solve_in_subgroup``).  Elements are built
-only at the edges: file I/O, witnesses, and generators written out.
+rows from a on, and none when b = N (``section``).  The torsion subgroup
+G[q] is one echelon of pairs (``kernel_subgroup``), built once per q and
+kept on G; every torsion subgroup inside an interval is a section of it.
+Each subgroup also keeps its section orders, one list per start coordinate.
+Least members are read off echelon rows (``least_in_difference``,
+``least_with_prefix``), and so are the failure witnesses lifted from a
+prefix; the Smith normal form serves only the p^h-th roots of synthesis
+(``solve_in_subgroup``).  Elements are built only at the edges: file I/O,
+witnesses, and generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
 one is known: ``section`` and ``kernel_subgroup`` pass the rows of their
@@ -532,12 +533,15 @@ def section(g: WindowSubgroup, interval) -> WindowSubgroup:
     members vanishing before s.  With the flats from e on moved to the
     front, their echelon ends in e - s rows that vanish from e on: these
     span the members vanishing outside [s, e) and are the section's
-    canonical rows there.  Relations m_f e_f fill the flats outside.
+    canonical rows there.  Relations m_f e_f fill the flats outside.  When
+    e = F nothing moves: G's rows from s on are those rows, with no echelon.
     """
     F = g.window.flat_length
     s, e = g.window.flat_slice(interval)
-    moved = row_lattice_basis([row[e:] + row[s:e] for row in g.basis[s:]], F - s)
-    inner = [(0,) * s + tuple(row[F - e :]) + (0,) * (F - e) for row in moved[F - e :]]
+    inner = g.basis[s:]
+    if e < F:
+        moved = row_lattice_basis([row[e:] + row[s:e] for row in g.basis[s:]], F - s)
+        inner = [(0,) * s + tuple(row[F - e :]) + (0,) * (F - e) for row in moved[F - e :]]
     basis = tuple(
         inner[f - s] if s <= f < e else tuple(m if k == f else 0 for k in range(F))
         for f, m in enumerate(g.window.flat_orders)

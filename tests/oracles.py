@@ -563,6 +563,54 @@ def listing_reference():
             setattr(module, name, fn)
 
 
+def _reference_place(window, placements):
+    from groupwindows.errors import InputError
+
+    rows = [list((0,) * len(c.factor_orders)) for c in window.components]
+    for coord, residues in placements:
+        comp = window.components[coord - 1]
+        if len(residues) != len(comp.factor_orders):
+            raise InputError(
+                f"coordinate {coord}: expected {len(comp.factor_orders)} residues, "
+                f"got {len(residues)}"
+            )
+        rows[coord - 1] = [int(r) for r in residues]
+    return window.element(rows)
+
+
+def reference_unroll(template, n):
+    """``templates.unroll_template`` as it was before it wrote flat rows.
+
+    Every generator is built coordinate by coordinate through
+    ``ProductWindow.element``, which reduces the residues, and the group is
+    ``WindowSubgroup(window, gens)``; the order of the generators and the
+    skipped instances are the library's contract.
+    """
+    from groupwindows import WindowSubgroup
+    from groupwindows.errors import InputError
+    from groupwindows.templates import UnrollResult
+
+    window = template.window(n)
+    for fg in template.fixed_generators:
+        if fg.max_coordinate() > n:
+            raise InputError(
+                f"window length {n} is smaller than a fixed generator support "
+                f"reaching coordinate {fg.max_coordinate()}"
+            )
+    gens = [_reference_place(window, fg.support) for fg in template.fixed_generators]
+    skipped, instances = [], []
+    for idx, sg in enumerate(template.shifted_generators):
+        for start in range(sg.start, n + 1, sg.stride):
+            if start + sg.max_offset() > n:
+                skipped.append((f"shifted[{idx}]", start))
+            else:
+                instances.append((start, idx, sg))
+    instances.sort(key=lambda t: (t[0], t[1]))
+    for start, _idx, sg in instances:
+        gens.append(_reference_place(window, [(start + off, res) for off, res in sg.pattern]))
+    return UnrollResult(window=window, group=WindowSubgroup(window, gens), skipped=tuple(skipped))
+
+
 def index_or_failure(g, i, cap, order=False):
     """``control``'s least support bound n in [i, cap] for prefix depth i.
 

@@ -175,6 +175,22 @@ def test_section_order_is_the_section_order(shift_template):
                 assert g.section_order(a, b) == section(g, (a, b)).order(), (g, a, b)
 
 
+def test_suffix_sections_are_the_listed_members_supported_in_them(shift_template):
+    # a section reaching the last coordinate is read off G's basis rows
+    # without an echelon; it lists as the members vanishing before it
+    checked = 0
+    for g in _section_order_pool(shift_template):
+        if g.order() > 1 << 12:
+            continue
+        span, slices, mods = oracles._listed(g)
+        n = g.window.length
+        for a in range(1, n + 1):
+            got = {x.flat for x in section(g, (a, n)).elements()}
+            assert got == oracles.naive_section(span, slices, (a, n)), (g, a)
+            checked += 1
+    assert checked >= 600
+
+
 def test_sections_and_interval_torsion_are_their_kernels(shift_template):
     # G_[a,b] is the kernel of t_f = 1 inside [a, b] and m_f outside, and the
     # members of G_[a,b] killed by q the kernel of t_f = m_f / gcd(m_f, q) inside
@@ -496,6 +512,44 @@ def test_no_certificate_computes_the_smith_form(shift_template, monkeypatch):
         for prop in PROPERTIES:
             witnesses += certify(source, prop, window=window).witness is not None
     assert witnesses >= 150
+
+
+def _count_failures(monkeypatch):
+    """Patch ``control._failure``; returns the list of its calls' depths."""
+    calls = []
+    real = control._failure
+
+    def counted(g, i, cap, order):
+        calls.append(i)
+        return real(g, i, cap, order)
+
+    monkeypatch.setattr(control, "_failure", counted)
+    return calls
+
+
+def test_a_certificate_builds_one_witness_for_the_failure_it_reports(shift_template, monkeypatch):
+    # the grown window of a template gives its indices and failing depth
+    # only: a failing certificate builds its witness once, an undetermined
+    # or holding one none
+    lifting = ("weakly-controllable", "controllable", "order-controllable")
+    calls = _count_failures(monkeypatch)
+    statuses = set()
+    for n in range(2, 17):
+        for prop in PROPERTIES:
+            calls.clear()
+            cert = certify(shift_template, prop, window=n)
+            statuses.add((prop, cert.status))
+            failed = prop in lifting and cert.status == FAILS
+            assert calls == ([cert.witness_context["i"]] if failed else []), (prop, n, cert.status)
+    assert {("order-controllable", FAILS), ("controllable", UNDETERMINED), ("weakly-controllable", HOLDS)} <= statuses
+    failing = 0
+    for g in _differential_pool(shift_template):
+        for prop in lifting:
+            calls.clear()
+            cert = certify(g, prop)
+            assert len(calls) == (cert.status == FAILS), (g, prop)
+            failing += cert.status == FAILS
+    assert failing >= 50
 
 
 # the least lift differs from the Smith solve's: [[0],[2],[0,2],[0]] has the

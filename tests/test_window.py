@@ -84,7 +84,8 @@ def test_prefix_projection_computes_no_echelon(monkeypatch):
 
 def test_a_section_is_one_echelon_from_its_start(monkeypatch):
     # the section on [a, b] echelons G's basis rows from a's first flat s on,
-    # width F - s, and reads the section's basis off it
+    # width F - s, and reads the section's basis off it; when b = N those
+    # rows already are the section's basis, and no echelon runs
     from groupwindows import window as window_module
 
     widths = []
@@ -98,10 +99,10 @@ def test_a_section_is_one_echelon_from_its_start(monkeypatch):
     g = subgroup(w, (1, 1, 2, 3, 0), (0, 0, 1, 6, 4), (2, 0, 0, 0, 2))
     g.basis
     monkeypatch.setattr(window_module, "row_lattice_basis", counted)
-    for interval, s in (((1, 4), 0), ((1, 2), 0), ((2, 3), 1), ((3, 3), 3), ((4, 4), 4)):
+    for interval, s in (((1, 4), None), ((1, 2), 0), ((2, 3), 1), ((3, 3), 3), ((4, 4), None)):
         widths.clear()
         section(g, interval)
-        assert widths == [w.flat_length - s], interval
+        assert widths == ([] if s is None else [w.flat_length - s]), interval
 
 
 def test_project_out_of_range():
