@@ -239,8 +239,16 @@ def cmd_verify(args) -> int:
     return EXIT_HOLDS if all_ok else EXIT_FAILS
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is malformed input: usage on stderr, exit 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupwindows",
         description=(
             "certify controllability properties of subgroups of windows of "

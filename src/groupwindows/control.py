@@ -26,10 +26,10 @@ the growth, and the witness is built once, for the failure reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError
+from .record import Frozen, store
 from .templates import TemplateSpec, unroll_template
 from .window import (
     Element,
@@ -54,18 +54,28 @@ PROPERTIES = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Certificate:
+class Certificate(Frozen):
     """Machine-readable verdict for one property at one window length."""
 
-    property: str
-    window: int
-    status: str
-    indices: dict
-    witness: Optional[Element]
-    witness_context: Optional[dict]
-    stabilization: dict
-    notes: dict
+    def __init__(
+        self,
+        property: str,
+        window: int,
+        status: str,
+        indices: dict,
+        witness: Optional[Element],
+        witness_context: Optional[dict],
+        stabilization: dict,
+        notes: dict,
+    ):
+        store(self, "property", property)
+        store(self, "window", window)
+        store(self, "status", status)
+        store(self, "indices", indices)
+        store(self, "witness", witness)
+        store(self, "witness_context", witness_context)
+        store(self, "stabilization", stabilization)
+        store(self, "notes", notes)
 
     def holds(self) -> bool:
         return self.status == HOLDS

@@ -27,11 +27,11 @@ benchmark's tracer wraps it by name), but no library code calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InputError
+from .record import Frozen, store
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -49,13 +49,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Dense integer matrix; ``data`` is a tuple of row tuples."""
 
-    rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]
+    def __init__(self, rows: int, cols: int, data: tuple[tuple[int, ...], ...]):
+        store(self, "rows", rows)
+        store(self, "cols", cols)
+        store(self, "data", data)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -65,6 +66,14 @@ class IntMatrix:
         for i, row in enumerate(self.data):
             if len(row) != self.cols:
                 raise InputError(f"row {i}: expected {self.cols} entries, got {len(row)}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.data))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -102,13 +111,21 @@ class IntMatrix:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Frozen):
     """U * M * V = D, the Smith normal form; U and V are built from the operation logs when read."""
 
-    D: IntMatrix
-    row_ops: tuple[tuple, ...]
-    col_ops: tuple[tuple, ...]
+    def __init__(self, D: IntMatrix, row_ops: tuple[tuple, ...], col_ops: tuple[tuple, ...]):
+        store(self, "D", D)
+        store(self, "row_ops", row_ops)
+        store(self, "col_ops", col_ops)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.D, self.row_ops, self.col_ops) == (other.D, other.row_ops, other.col_ops)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.D, self.row_ops, self.col_ops))
 
     @cached_property
     def U(self) -> IntMatrix:

@@ -21,7 +21,6 @@ spanning checks decide exactly whether it is an isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Mapping, Optional
 
@@ -33,6 +32,7 @@ from .control import (
     order_controllability_certificate,
 )
 from .errors import InputError, UndeterminedAtWindowError
+from .record import Frozen, store
 from .torsion import (
     FpEchelon,
     HeightLayers,
@@ -57,25 +57,43 @@ from .window import (
 )
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Frozen):
     """One synthesis stage: boundary depth d and how many generators it added."""
 
-    d: int
-    size: int
+    def __init__(self, d: int, size: int):
+        store(self, "d", d)
+        store(self, "size", size)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.d, self.size) == (other.d, other.size)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.size))
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratingSet:
+class GeneratingSet(Frozen):
     """The synthesis output for one prime."""
 
-    prime: int
-    blocks: tuple[Block, ...]
-    socle_elements: tuple[Element, ...]  # x_m, order p, finite support
-    generators: tuple[Element, ...]  # y_m with x_m == p^h_m * y_m
-    heights: tuple[int, ...]
-    n_sequence: dict
-    determined: bool = True
+    def __init__(
+        self,
+        prime: int,
+        blocks: tuple[Block, ...],
+        socle_elements: tuple[Element, ...],  # x_m, order p, finite support
+        generators: tuple[Element, ...],  # y_m with x_m == p^h_m * y_m
+        heights: tuple[int, ...],
+        n_sequence: dict,
+        determined: bool = True,
+    ):
+        store(self, "prime", prime)
+        store(self, "blocks", blocks)
+        store(self, "socle_elements", socle_elements)
+        store(self, "generators", generators)
+        store(self, "heights", heights)
+        store(self, "n_sequence", n_sequence)
+        store(self, "determined", determined)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (len(self.socle_elements) == len(self.generators) == len(self.heights)):
@@ -202,11 +220,11 @@ def synthesize_p(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BlockReport:
+class BlockReport(Frozen):
     """Re-checked construction properties, one verdict per clause."""
 
-    checks: dict
+    def __init__(self, checks: dict):
+        store(self, "checks", checks)
 
     def passed(self) -> bool:
         return all(ok for ok, _ in self.checks.values())
@@ -312,12 +330,12 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
     return BlockReport(checks=checks)
 
 
-@dataclass(frozen=True, eq=False)
-class Encoder:
+class Encoder(Frozen):
     """Coefficient sequences against the generators, as a concrete map."""
 
-    group: WindowSubgroup
-    generating_set: GeneratingSet
+    def __init__(self, group: WindowSubgroup, generating_set: GeneratingSet):
+        store(self, "group", group)
+        store(self, "generating_set", generating_set)
 
     @property
     def prime(self) -> int:
@@ -394,17 +412,22 @@ def check_implicit_direct_product(gs: GeneratingSet, g: WindowSubgroup) -> bool:
     return WindowSubgroup(g.window, gs.generators) == g
 
 
-@dataclass(frozen=True, eq=False)
-class CombinedEncoder:
+class CombinedEncoder(Frozen):
     """Per-prime encoders stitched along the primary decomposition.
 
     At most one encoder per prime; each encoder's group is its prime's part.
     ``check`` gives the verdicts that ``synthesize`` and ``verify`` report.
     """
 
-    group: WindowSubgroup
-    decomposition: PrimaryDecomposition
-    encoders: tuple[tuple[int, Encoder], ...]  # ascending primes
+    def __init__(
+        self,
+        group: WindowSubgroup,
+        decomposition: PrimaryDecomposition,
+        encoders: tuple[tuple[int, Encoder], ...],  # ascending primes
+    ):
+        store(self, "group", group)
+        store(self, "decomposition", decomposition)
+        store(self, "encoders", encoders)
 
     def encode(self, coeff_map: Mapping[int, list]) -> Element:
         acc = self.group.window.zero()
@@ -460,15 +483,24 @@ class CombinedEncoder:
         return parts, combined
 
 
-@dataclass(frozen=True, eq=False)
-class SynthesisResult:
-    group: WindowSubgroup
-    certificate: Certificate
-    decomposition: PrimaryDecomposition
-    part_certificates: dict
-    generating_sets: dict
-    combined: CombinedEncoder
-    verdicts: dict
+class SynthesisResult(Frozen):
+    def __init__(
+        self,
+        group: WindowSubgroup,
+        certificate: Certificate,
+        decomposition: PrimaryDecomposition,
+        part_certificates: dict,
+        generating_sets: dict,
+        combined: CombinedEncoder,
+        verdicts: dict,
+    ):
+        store(self, "group", group)
+        store(self, "certificate", certificate)
+        store(self, "decomposition", decomposition)
+        store(self, "part_certificates", part_certificates)
+        store(self, "generating_sets", generating_sets)
+        store(self, "combined", combined)
+        store(self, "verdicts", verdicts)
 
 
 def _certifies_part(cert: Certificate, g: WindowSubgroup, part: WindowSubgroup) -> bool:

@@ -13,17 +13,24 @@ match, including those that need generators reaching past N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
+from .record import Frozen, store
 from .window import ComponentGroup, ProductWindow, WindowSubgroup, project
 
 
-@dataclass(frozen=True)
-class FixedGenerator:
+class FixedGenerator(Frozen):
     """A generator with explicit support: sorted (coordinate, residues) pairs."""
 
-    support: tuple[tuple[int, tuple[int, ...]], ...]
+    def __init__(self, support: tuple[tuple[int, tuple[int, ...]], ...]):
+        store(self, "support", support)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.support,) == (other.support,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.support,))
 
     def max_coordinate(self) -> int:
         return max(c for c, _ in self.support) if self.support else 0
@@ -35,13 +42,14 @@ class FixedGenerator:
         return max(coords) - min(coords) + 1
 
 
-@dataclass(frozen=True)
-class ShiftedGenerator:
+class ShiftedGenerator(Frozen):
     """A pattern stamped at start, start+stride, ...; offsets are 0-based."""
 
-    start: int
-    stride: int
-    pattern: tuple[tuple[int, tuple[int, ...]], ...]
+    def __init__(self, start: int, stride: int, pattern: tuple[tuple[int, tuple[int, ...]], ...]):
+        store(self, "start", start)
+        store(self, "stride", stride)
+        store(self, "pattern", pattern)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.stride < 1:
@@ -51,6 +59,14 @@ class ShiftedGenerator:
         for off, _ in self.pattern:
             if off < 0:
                 raise InputError("pattern offsets must be >= 0")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.stride, self.pattern) == (other.start, other.stride, other.pattern)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.start, self.stride, self.pattern))
 
     def width(self) -> int:
         if not self.pattern:
@@ -62,14 +78,21 @@ class ShiftedGenerator:
         return max((o for o, _ in self.pattern), default=0)
 
 
-@dataclass(frozen=True)
-class TemplateSpec:
+class TemplateSpec(Frozen):
     """Periodic components plus fixed and shifted generator families."""
 
-    period: int
-    component_orders: tuple[tuple[int, ...], ...]
-    fixed_generators: tuple[FixedGenerator, ...] = ()
-    shifted_generators: tuple[ShiftedGenerator, ...] = ()
+    def __init__(
+        self,
+        period: int,
+        component_orders: tuple[tuple[int, ...], ...],
+        fixed_generators: tuple[FixedGenerator, ...] = (),
+        shifted_generators: tuple[ShiftedGenerator, ...] = (),
+    ):
+        store(self, "period", period)
+        store(self, "component_orders", component_orders)
+        store(self, "fixed_generators", fixed_generators)
+        store(self, "shifted_generators", shifted_generators)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.period < 1:
@@ -79,6 +102,20 @@ class TemplateSpec:
                 f"component template lists {len(self.component_orders)} coordinate "
                 f"shapes but declares period {self.period}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.period, self.component_orders, self.fixed_generators, self.shifted_generators
+            ) == (
+                other.period, other.component_orders, other.fixed_generators, other.shifted_generators
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(
+            (self.period, self.component_orders, self.fixed_generators, self.shifted_generators)
+        )
 
     def component_at(self, coordinate: int) -> tuple[int, ...]:
         return self.component_orders[(coordinate - 1) % self.period]
@@ -95,11 +132,24 @@ class TemplateSpec:
         return max(widths, default=0)
 
 
-@dataclass(frozen=True)
-class UnrollResult:
-    window: ProductWindow
-    group: WindowSubgroup
-    skipped: tuple[tuple[str, int], ...] = ()  # (kind or pattern index, start coord)
+class UnrollResult(Frozen):
+    def __init__(
+        self,
+        window: ProductWindow,
+        group: WindowSubgroup,
+        skipped: tuple[tuple[str, int], ...] = (),  # (kind or pattern index, start coord)
+    ):
+        store(self, "window", window)
+        store(self, "group", group)
+        store(self, "skipped", skipped)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.window, self.group, self.skipped) == (other.window, other.group, other.skipped)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.window, self.group, self.skipped))
 
 
 def _place(window: ProductWindow, placements) -> list[int]:

@@ -10,10 +10,10 @@ group.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import InputError
+from .record import Frozen, store
 from .window import Element, ProductWindow, WindowSubgroup, prime_power, torsion_subgroup
 
 
@@ -164,16 +164,35 @@ class HeightLayers(Sequence):
         return -1, None
 
 
-@dataclass(frozen=True)
-class PrimaryPart:
+class PrimaryPart(Frozen):
     """One p-part: the coordinates kept, the sub-window, and the image group."""
 
-    prime: int
-    coordinates: tuple[int, ...]  # 1-based coordinates with a p-power factor
-    window: ProductWindow
-    subgroup: WindowSubgroup
-    # flat positions in the parent window, one per flat factor of the part
-    flat_positions: tuple[int, ...]
+    def __init__(
+        self,
+        prime: int,
+        coordinates: tuple[int, ...],  # 1-based coordinates with a p-power factor
+        window: ProductWindow,
+        subgroup: WindowSubgroup,
+        # flat positions in the parent window, one per flat factor of the part
+        flat_positions: tuple[int, ...],
+    ):
+        store(self, "prime", prime)
+        store(self, "coordinates", coordinates)
+        store(self, "window", window)
+        store(self, "subgroup", subgroup)
+        store(self, "flat_positions", flat_positions)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.prime, self.coordinates, self.window, self.subgroup, self.flat_positions
+            ) == (
+                other.prime, other.coordinates, other.window, other.subgroup, other.flat_positions
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prime, self.coordinates, self.window, self.subgroup, self.flat_positions))
 
     def embed(self, x: Element, parent: ProductWindow) -> Element:
         """Zero-pad a part element back into the parent window."""
@@ -189,11 +208,19 @@ class PrimaryPart:
         return self.window.from_flat([x.flat[pos] for pos in self.flat_positions])
 
 
-@dataclass(frozen=True)
-class PrimaryDecomposition:
-    window: ProductWindow
-    primes: tuple[int, ...]
-    parts: tuple[PrimaryPart, ...]
+class PrimaryDecomposition(Frozen):
+    def __init__(self, window: ProductWindow, primes: tuple[int, ...], parts: tuple[PrimaryPart, ...]):
+        store(self, "window", window)
+        store(self, "primes", primes)
+        store(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.window, self.primes, self.parts) == (other.window, other.primes, other.parts)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.window, self.primes, self.parts))
 
     def part(self, p: int) -> PrimaryPart:
         for part in self.parts:

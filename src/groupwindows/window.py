@@ -38,7 +38,6 @@ inclusive, matching the certificate and file formats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
@@ -46,6 +45,7 @@ from operator import mul
 
 from .errors import InputError, WindowScaleError
 from .intlinalg import IntMatrix, row_lattice_basis, solve_mixed_modulus, vector_order
+from .record import Frozen, store
 
 # Exact element scans refuse beyond this many elements.
 ENUM_LIMIT = 1 << 20
@@ -121,16 +121,25 @@ def _prime_factor(n: int) -> tuple[int, int]:
     return pk
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(Frozen):
     """One coordinate group, a direct sum of cyclic prime-power factors."""
 
-    factor_orders: tuple[int, ...]
+    def __init__(self, factor_orders: tuple[int, ...]):
+        store(self, "factor_orders", factor_orders)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "factor_orders", tuple(int(m) for m in self.factor_orders))
+        store(self, "factor_orders", tuple(int(m) for m in self.factor_orders))
         for m in self.factor_orders:
             _prime_factor(m)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.factor_orders,) == (other.factor_orders,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factor_orders,))
 
     @property
     def order(self) -> int:
@@ -140,11 +149,12 @@ class ComponentGroup:
         return {_prime_factor(m)[0] for m in self.factor_orders}
 
 
-@dataclass(frozen=True)
-class ProductWindow:
+class ProductWindow(Frozen):
     """Coordinates 1..N, each carrying a ComponentGroup; sub-windows are kept per interval."""
 
-    components: tuple[ComponentGroup, ...]
+    def __init__(self, components: tuple[ComponentGroup, ...]):
+        store(self, "components", components)
+        self.__post_init__()
 
     def __post_init__(self):
         comps = tuple(
@@ -163,6 +173,11 @@ class ProductWindow:
             _hash=hash(comps),
             _subwindows={},
         )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.components,) == (other.components,)
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -231,12 +246,20 @@ class ProductWindow:
         return tuple(sorted(set().union(*(c.primes() for c in self.components))))
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """A point of a window: one residue in [0, m_f) per flat factor f, trusted."""
 
-    window: ProductWindow
-    flat: tuple[int, ...]
+    def __init__(self, window: ProductWindow, flat: tuple[int, ...]):
+        store(self, "window", window)
+        store(self, "flat", flat)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.window, self.flat) == (other.window, other.flat)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.window, self.flat))
 
     @property
     def residues(self) -> tuple[tuple[int, ...], ...]:

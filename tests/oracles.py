@@ -7,12 +7,20 @@ loops, so a certificate can be recomputed by listing elements, and
 ``listing_reference`` does the same for the synthesis and verify decisions,
 which it takes by listing socle elements and their heights.  The library's
 own decisions are reached through ``index_or_failure``, and certificate
-witnesses re-checked by ``revalidate_witness``.
+witnesses re-checked by ``revalidate_witness``.  ``rebuilt`` copies a
+library record with some fields changed.
 """
 
+import inspect
 from contextlib import contextmanager
 from functools import lru_cache
 from math import lcm, prod
+
+
+def rebuilt(record, **changes):
+    """A copy of ``record`` with ``changes``, made through its constructor so its checks run again."""
+    fields = {name: getattr(record, name) for name in inspect.signature(type(record)).parameters}
+    return type(record)(**{**fields, **changes})
 
 
 def flat_mods(components):

@@ -627,6 +627,33 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--input", "x.json"], "the following arguments are required: --property"),
+        (
+            ["check", "--input", "x.json", "--property", "rectangular", "--window", "abc"],
+            "argument --window: invalid int value: 'abc'",
+        ),
+    ],
+)
+def test_malformed_command_line_exits_3(argv, message, capsys):
+    # exit 2 means "undetermined at this window"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: groupwindows check ")
+    assert err.endswith(f"groupwindows check: error: {message}\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: groupwindows check ")
+
+
 def _manifest(tmp_path, edit):
     """A synthesized encoder manifest for Z(2), changed by ``edit``, and its verify argv."""
     group = write(tmp_path, "g.json", {"components": [[2]], "generators": [[[1]]]})

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import product as iproduct
 from math import prod
 
@@ -199,7 +198,7 @@ def test_represent_refuses_an_ill_defined_encoder():
     w = window_of([4], [2])
     full = w.full_subgroup()
     gs, _ = _synth(full, 2)
-    zeroed = replace(gs, heights=(0,) * len(gs.heights))
+    zeroed = oracles.rebuilt(gs, heights=(0,) * len(gs.heights))
     with pytest.raises(InputError, match="does not kill"):
         represent(w.zero(), Encoder(group=full, generating_set=zeroed))
 
@@ -222,7 +221,7 @@ def test_combined_represent_refuses_a_part_without_encoder():
     w = window_of([2], [3])
     z = w.from_flat([1, 1])
     res = synthesize(WindowSubgroup(w, [z]))
-    dropped = replace(res.combined, encoders=tuple((p, e) for p, e in res.combined.encoders if p != 3))
+    dropped = oracles.rebuilt(res.combined, encoders=tuple((p, e) for p, e in res.combined.encoders if p != 3))
     with pytest.raises(UndeterminedAtWindowError):
         dropped.represent(z)
     # an element with a zero 3-part still has its coefficients

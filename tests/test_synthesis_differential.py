@@ -10,7 +10,6 @@ and so must the errors raised.  The spanning verdicts of
 
 import json
 import random
-from dataclasses import replace
 from itertools import product
 from math import prod
 
@@ -77,11 +76,11 @@ def _tampered(gs):
     """Reversed order, heights zeroed, and the first socle element replaced by the sum of the first two."""
     xs = gs.socle_elements
     out = [
-        replace(gs, socle_elements=xs[::-1], generators=gs.generators[::-1], heights=gs.heights[::-1]),
-        replace(gs, heights=(0,) * len(xs)),
+        oracles.rebuilt(gs, socle_elements=xs[::-1], generators=gs.generators[::-1], heights=gs.heights[::-1]),
+        oracles.rebuilt(gs, heights=(0,) * len(xs)),
     ]
     if len(xs) >= 2:
-        out.append(replace(gs, socle_elements=(xs[0] + xs[1],) + xs[1:]))
+        out.append(oracles.rebuilt(gs, socle_elements=(xs[0] + xs[1],) + xs[1:]))
     return out
 
 
@@ -193,7 +192,7 @@ def test_synthesize_p_under_arbitrary_index_maps(monkeypatch):
                 indices = {
                     i: rng.randint(max(1, i - 1), n) for i in range(1, n + 1) if rng.random() < 0.8
                 }
-                arbitrary = replace(cert, status=HOLDS, indices=indices)
+                arbitrary = oracles.rebuilt(cert, status=HOLDS, indices=indices)
                 got, want = _twice(_synthesize_p, h, part.prime, arbitrary)
                 if isinstance(got, tuple):
                     assert got == want
@@ -225,7 +224,7 @@ def test_clause_d_on_a_mixed_prime_group():
     g = window_of([4, 3], [2, 3]).full_subgroup()
     part = primary_decompose(g).part(2)
     gs = synthesis.synthesize(part.subgroup).generating_sets[2]
-    embedded = replace(
+    embedded = oracles.rebuilt(
         gs,
         socle_elements=tuple(part.embed(x, g.window) for x in gs.socle_elements),
         generators=tuple(part.embed(y, g.window) for y in gs.generators),
@@ -328,8 +327,8 @@ def test_represent_matches_a_listed_inverse(shift_template):
             if prod(gs.orders) > 1 << 10:
                 continue
             ys = gs.generators
-            rotated = replace(gs, generators=ys[1:] + ys[:1])
-            shrunk = replace(gs, generators=(ys[0].scale(gs.prime),) + ys[1:])
+            rotated = oracles.rebuilt(gs, generators=ys[1:] + ys[:1])
+            shrunk = oracles.rebuilt(gs, generators=(ys[0].scale(gs.prime),) + ys[1:])
             for variant in (gs, rotated, shrunk):
                 e = synthesis.Encoder(group=enc.group, generating_set=variant)
                 if any(o % y.order() for y, o in zip(variant.generators, variant.orders)):
