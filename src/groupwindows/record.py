@@ -3,8 +3,8 @@
 Each record class writes out its ``__init__``, storing its fields with
 ``store``, and where it compares by value, its ``__eq__`` and ``__hash__``
 over the tuple of its fields.  Generating those methods with ``dataclasses``
-took about 18 ms of every import of the package, as long as a whole ``check``
-on a small input; written out per class they also run no slower than the
+took about 18 ms of every import of the package, most of an import that
+reads cached bytecode; written out, they also run no slower than the
 generated ones.
 """
 
