@@ -17,6 +17,11 @@ The jobs are:
   [0, m) and negative ones) at N = 2 ... 10: the five checks, ``unroll``,
   ``unroll --closure`` and ``synthesize``; and one ``check`` of the same
   template with stride 1, whose pattern does not fit (exit 3);
+* small p-groups over Z(p), Z(p^2), Z(p^3), p = 2 or 3, where some p^h-th
+  root of ``synthesize`` (or of ``--override-undetermined``) is taken in a
+  section whose map k -> sum k_j p^h r_j over its canonical rows r_j is not
+  injective, so the root's coefficients are not unique: the group pipeline
+  above;
 * ``verify`` of every encoder written, tampered four ways: the generators
   reversed, the heights zeroed, the first socle element replaced by the sum
   of the first two, and the generators rotated by one.
@@ -64,6 +69,19 @@ MIXED_TEMPLATE = {
     ],
 }
 MIXED_TEMPLATE_WINDOWS = range(2, 11)
+ROOT_KERNEL_GROUPS = (
+    ((2, 4, 4, 8), ((1, 3, 1, 1), (0, 3, 0, 0))),
+    ((2, 4, 8), ((0, 0, 0), (0, 3, 5), (0, 0, 2))),
+    ((2, 4, 8), ((1, 3, 0), (0, 3, 1), (0, 0, 0))),
+    ((4, 2, 4, 8), ((0, 0, 0, 0), (0, 0, 2, 0), (0, 0, 1, 3))),
+    ((4, 8, 8, 2), ((3, 1, 0, 0), (0, 6, 0, 0), (0, 0, 6, 1))),
+    ((8, 2, 2, 8), ((4, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 3))),
+    ((2, 8, 2, 4), ((1, 0, 0, 0), (0, 4, 1, 0), (0, 0, 1, 3), (0, 0, 0, 2))),
+    ((9, 27), ((8, 7), (0, 12))),
+    ((27, 27), ((12, 13), (0, 3))),
+    ((3, 9, 27), ((1, 3, 0), (0, 1, 1), (0, 0, 21))),
+    ((9, 27, 3), ((8, 11, 0), (0, 24, 2))),
+)
 
 
 def _random_element(rng, shapes, lo, hi):
@@ -207,6 +225,11 @@ def run_corpus(root: Path) -> dict[str, str]:
         corpus.run(f"mixed-template-{n}/unroll", ["unroll", *window])
         corpus.run(f"mixed-template-{n}/unroll-closure", ["unroll", *window, "--closure"])
         corpus.run(f"mixed-template-{n}/synthesize", ["synthesize", *window, "--out", f"mixed-template-{n}.enc.json"])
+    for k, (orders, gens) in enumerate(ROOT_KERNEL_GROUPS):
+        name = f"root-kernel-{k:02d}"
+        group = {"components": [[m] for m in orders], "generators": [[[a] for a in x] for x in gens]}
+        corpus.write(f"{name}.json", group)
+        corpus.pipeline(name, f"{name}.json")
     misfit = json.loads(json.dumps(MIXED_TEMPLATE))
     misfit["shifted_generators"][0]["stride"] = 1
     corpus.write("misfit-template.json", misfit)
