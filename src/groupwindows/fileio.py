@@ -48,29 +48,36 @@ def write_json(path: str, payload):
         raise InputError(f"{path}: cannot write: {exc.strerror or exc}")
 
 
-def _expect_list(value, where: str) -> list:
+def _at(where: str, index) -> str:
+    """An error's location: ``where`` followed by ``[k]`` for each k of ``index``."""
+    return where + "".join(f"[{k}]" for k in index)
+
+
+def _expect_list(value, where: str, *index) -> list:
+    """``value`` when it is a list; the location ``_at(where, index)`` is built only to raise."""
     if not isinstance(value, list):
-        raise InputError(f"{where}: expected a list, got {type(value).__name__}")
+        raise InputError(f"{_at(where, index)}: expected a list, got {type(value).__name__}")
     return value
 
 
-def _expect_int(value, where: str) -> int:
+def _expect_int(value, where: str, *index) -> int:
+    """``value`` when it is an integer; the location is built only to raise."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where}: expected an integer, got {value!r}")
+        raise InputError(f"{_at(where, index)}: expected an integer, got {value!r}")
     return value
 
 
 def _int_list(raw, where: str) -> list[int]:
     """A list of integers; errors name ``where`` for the list, ``where[k]`` for an entry."""
-    return [_expect_int(v, f"{where}[{k}]") for k, v in enumerate(_expect_list(raw, where))]
+    return [_expect_int(v, where, k) for k, v in enumerate(_expect_list(raw, where))]
 
 
 def _parse_components(raw, where: str) -> ProductWindow:
     comps = []
     for i, comp in enumerate(_expect_list(raw, where), start=1):
         orders = []
-        for j, m in enumerate(_expect_list(comp, f"{where}[{i - 1}]")):
-            m = _expect_int(m, f"{where}[{i - 1}][{j}]")
+        for j, m in enumerate(_expect_list(comp, where, i - 1)):
+            m = _expect_int(m, where, i - 1, j)
             if m < 2:
                 raise InputError(f"{where}[{i - 1}][{j}]: factor order {m} must be >= 2")
             orders.append(m)
@@ -91,7 +98,7 @@ def _parse_element(raw, window: ProductWindow, where: str) -> Element:
         )
     flat = []
     for i, coord in enumerate(rows, start=1):
-        coord = _expect_list(coord, f"{where}[{i - 1}]")
+        coord = _expect_list(coord, where, i - 1)
         orders = window.components[i - 1].factor_orders
         if len(coord) != len(orders):
             raise InputError(
@@ -99,7 +106,7 @@ def _parse_element(raw, window: ProductWindow, where: str) -> Element:
                 f"factors, got {len(coord)} residues"
             )
         for j, (r, m) in enumerate(zip(coord, orders)):
-            r = _expect_int(r, f"{where}[{i - 1}][{j}]")
+            r = _expect_int(r, where, i - 1, j)
             if not (0 <= r < m):
                 raise InputError(
                     f"{where}[{i - 1}][{j}]: residue {r} outside [0, {m}) "

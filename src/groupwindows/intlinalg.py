@@ -19,8 +19,9 @@ The three workhorses are
 
 Inside the library the Smith normal form serves only ``solve_mixed_modulus``,
 which applies the logs to vectors and never builds U or V, and which only
-``window.solve_in_subgroup`` calls, for the p^h-th roots of synthesis.  No
-certificate reaches it: failure witnesses are lifted off echelon rows.
+``window.solve_in_subgroup`` calls, for a p^h-th root of synthesis whose
+coefficients are not unique; the other roots, and every failure witness,
+are read off echelon rows.
 ``left_kernel_basis`` stays a public function of this module (the
 benchmark's tracer wraps it by name), but no library code calls it.
 """

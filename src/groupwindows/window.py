@@ -18,9 +18,10 @@ kept on G; every torsion subgroup inside an interval is a section of it.
 Each subgroup also keeps its section orders, one list per start coordinate.
 Least members are read off echelon rows (``least_in_difference``,
 ``least_with_prefix``), and so are the failure witnesses lifted from a
-prefix; the Smith normal form serves only the p^h-th roots of synthesis
-(``solve_in_subgroup``).  Elements are built only at the edges: file I/O,
-witnesses, and generators written out.
+prefix and the coefficients of the p^h-th roots of synthesis
+(``solve_in_subgroup``); the Smith normal form serves only a root whose
+coefficients are not unique.  Elements are built only at the edges: file
+I/O, witnesses, and generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
 one is known: ``section`` and ``kernel_subgroup`` pass the rows of their
@@ -170,6 +171,7 @@ class ProductWindow(Frozen):
             flat_orders=tuple(m for c in comps for m in c.factor_orders),
             coord_slices=tuple(zip(bounds, bounds[1:])),  # half-open flat slice per coordinate
             coord_starts=tuple(bounds),  # first flat of each coordinate, then F
+            flat_coords=tuple(i for i, c in enumerate(comps) for _ in c.factor_orders),
             _hash=hash(comps),
             _subwindows={},
         )
@@ -275,10 +277,6 @@ class Element(Frozen):
         return tuple(
             i for i, (s, e) in enumerate(self.window.coord_slices, start=1) if any(self.flat[s:e])
         )
-
-    def support_width(self) -> int:
-        s = self.support
-        return (s[-1] - s[0] + 1) if s else 0
 
     def order(self) -> int:
         return vector_order(self.flat, self.window.flat_orders)
@@ -511,11 +509,16 @@ class WindowSubgroup:
         This is the width of the narrowest generator presentation at hand; it
         bounds how far window-boundary effects can reach.
         """
-        # a nonzero generator exists exactly when a canonical one does
-        return min(
-            max((x.support_width() for x in gens if not x.is_zero()), default=0)
-            for gens in (self.generators, self.canonical_generators)
-        )
+        # a row's width runs from the coordinate of its first nonzero residue
+        # to that of its last; a nonzero generator exists exactly when a
+        # canonical one does
+        coords, mods = self.window.flat_coords, self.window.flat_orders
+
+        def width(row):
+            nonzero = [f for f, a in enumerate(row) if a % mods[f]]
+            return coords[nonzero[-1]] - coords[nonzero[0]] + 1 if nonzero else 0
+
+        return min(max(map(width, rows), default=0) for rows in (self._rows, self.canonical_rows))
 
 
 def project(g: WindowSubgroup, interval) -> WindowSubgroup:
@@ -642,15 +645,23 @@ def least_in_difference(a: WindowSubgroup, inside) -> Element | None:
 def least_with_prefix(a: WindowSubgroup, prefix) -> Element | None:
     """The lexicographically least member of ``a`` whose flat vector starts with ``prefix``.
 
-    ``prefix`` is a sequence of flat residues; None when no member has it.
+    ``prefix`` is a sequence of flat residues; None when no member has it
+    (``_prefix_lift`` on a's echelon rows).
+    """
+    vec = _prefix_lift(a.basis, prefix)
+    return None if vec is None else a.window.from_flat(vec)
+
+
+def _prefix_lift(rows, prefix) -> list[int] | None:
+    """The least vector of the lattice of echelon ``rows`` that starts with ``prefix``, or None.
+
     Echelon row f has its pivot d_f at flat f.  Inside the prefix the value
     there is forced, so d_f must divide what is missing; after it, the
     members take r, r + d_f, ... there, and the least r is kept.  This is
     the canonical representative of any such member modulo the members with
-    a zero prefix, whose echelon rows are m_f e_f on the prefix and a's own
-    rows after it.
+    a zero prefix, whose echelon rows are m_f e_f on the prefix and the
+    lattice's own rows after it.
     """
-    rows = a.basis
     vec = [0] * len(rows)
     for f, row in enumerate(rows):
         k, r = divmod(vec[f] - (prefix[f] if f < len(prefix) else 0), row[f])
@@ -658,28 +669,45 @@ def least_with_prefix(a: WindowSubgroup, prefix) -> Element | None:
             return None
         if k:
             vec = [x - k * y for x, y in zip(vec, row)]
-    return a.window.from_flat(vec)
+    return vec
 
 
 def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Element | None:
     """A y in the subgroup with scale*y == target, or None.
 
-    The library's one caller is the p^h-th root of ``synthesize_p``.  The
-    Smith solve gives coefficients c with sum(c_j * scale * row_j) == target
-    over the canonical rows, and y is sum(c_j * row_j); so which root it is
-    depends on the solve's pivoting.  Prefix lifts are ``least_with_prefix``.
+    The library's one caller is the p^h-th root of ``synthesize_p``.  With
+    r_j the canonical rows, y is sum(k_j * r_j) for coefficients k with
+    sum(k_j * scale * r_j) == target.  They are read off the graph of that
+    map, the span of the rows (scale*r_j | e_j) and (m_f e_f | 0), as its
+    least member with prefix target (``_prefix_lift``).  The echelon rows
+    past the first F span the map's kernel K, which holds o_j e_j, o_j the
+    order of scale*r_j.  The map is injective on prod Z(o_j) exactly when
+    K is spanned by the o_j e_j, that is when those rows are diagonal (they
+    are then o_j e_j); k is then unique in prod [0, o_j), so it is what the
+    Smith solve gave.  Otherwise the Smith solve still picks k, and the root
+    depends on its pivoting there.
     """
     if target.window != g.window:
         raise InputError("element and subgroup live in different windows")
     rows = g.canonical_rows
     if not rows:
         return None if any(target.flat) else target
-    A = IntMatrix.from_rows([[scale * a for a in column] for column in zip(*rows)])
-    coeffs = solve_mixed_modulus(A, list(target.flat), list(g.window.flat_orders))
-    if coeffs is None:
+    mods = g.window.flat_orders
+    F, width = len(mods), len(mods) + len(rows)
+    graph = [[scale * a for a in row] + [0] * len(rows) for row in rows]
+    for j, row in enumerate(graph):
+        row[F + j] = 1
+    graph += ([0] * f + [m] + [0] * (width - f - 1) for f, m in enumerate(mods))
+    echelon = row_lattice_basis(graph, width)
+    lift = _prefix_lift(echelon, target.flat)
+    if lift is None:
         return None
-    flat = [0] * g.window.flat_length
-    for c, row in zip(coeffs, rows):
-        if c:
-            flat = [a + c * b for a, b in zip(flat, row)]
+    coeffs = lift[F:]
+    if any(any(row[f + 1 :]) for f, row in enumerate(echelon[F:], start=F)):
+        A = IntMatrix.from_rows(list(zip(*(row[:F] for row in graph[: len(rows)]))))
+        coeffs = solve_mixed_modulus(A, list(target.flat), list(mods))
+    flat = [0] * F
+    for k, row in zip(coeffs, rows):
+        if k:
+            flat = [a + k * b for a, b in zip(flat, row)]
     return g.window.from_flat(flat)

@@ -23,6 +23,19 @@ def rebuilt(record, **changes):
     return type(record)(**{**fields, **changes})
 
 
+def element_presentation_margin(g):
+    """The max support width over G's given and canonical generators as elements, minimized."""
+
+    def width(x):
+        support = x.support
+        return support[-1] - support[0] + 1 if support else 0
+
+    return min(
+        max((width(x) for x in gens if not x.is_zero()), default=0)
+        for gens in (g.generators, g.canonical_generators)
+    )
+
+
 def flat_mods(components):
     return [m for comp in components for m in comp]
 

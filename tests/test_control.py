@@ -166,6 +166,23 @@ def _section_order_pool(shift_template):
     return pool + [closure_window(shift_template, n).group for n in range(2, 11)]
 
 
+def test_presentation_margin_is_the_widest_generator_support(shift_template):
+    # read off flat rows, it equals the definition on generator elements
+    pool = _section_order_pool(shift_template)[:200]
+    pool += [closure_window(shift_template, n).group for n in range(2, 17)]
+    # given generators narrower (margin 2) than the canonical ones (margin 3)
+    w = window_of([2], [2], [2], [2], [4])
+    pool.insert(0, subgroup(w, (1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 2)))
+    # rows given unreduced: a residue of m_f is zero at flat f
+    mods = [g.window.flat_orders for g in pool[:50]]
+    pool += [
+        WindowSubgroup.from_rows(g.window, [[a + m for a, m in zip(x.flat, ms)] for x in g.generators])
+        for g, ms in zip(pool, mods)
+    ]
+    for g in pool:
+        assert g.presentation_margin() == oracles.element_presentation_margin(g), g
+
+
 def test_section_order_is_the_section_order(shift_template):
     for g in _section_order_pool(shift_template):
         n = g.window.length

@@ -65,5 +65,7 @@ def test_tracer_counts_the_smith_solves_of_a_synthesize(tmp_path, capsys):
     assert cli.main(["unroll", "--input", str(template), "--window", "6", "--closure", "--out", str(closure)]) == 0
     argv = ["synthesize", "--input", str(closure), "--out", str(tmp_path / "enc.json")]
     metrics = _traced(argv, 0, capsys)
-    # the p^h-th roots are the Smith normal form's one job
-    assert metrics["intlinalg.snf.calls"] == metrics["intlinalg.solve.calls"] > 0
+    # every p^h-th root of the running example has unique coefficients, so
+    # it is read off the coefficient graph's echelon and no Smith solve runs
+    assert metrics["intlinalg.lattice_basis.calls"] > 0
+    assert metrics["intlinalg.snf.calls"] == metrics["intlinalg.solve.calls"] == 0

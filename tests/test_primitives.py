@@ -5,18 +5,22 @@
 ``least_outside`` and ``least_in_difference`` against the least listed
 member outside, ``least_with_prefix`` against the least listed member with
 the prefix, ``FpEchelon`` against exhaustive F_p spans, and ``represent``
-by round trips through encoders of socle elements (heights 0).
+by round trips through encoders of socle elements (heights 0), and
+``solve_in_subgroup`` against the Smith solve it replaces where a root's
+coefficients are unique.
 The bases that ``project``, ``section``, ``kernel_subgroup`` and
 ``primary_decompose`` take without a new echelon of their generators are
 checked against a fresh one.
 """
 
-from math import gcd
+from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupwindows import GeneratingSet, WindowSubgroup, primary_decompose, project, section
+from groupwindows import GeneratingSet, WindowSubgroup, primary_decompose, project, section, window
+from groupwindows.intlinalg import IntMatrix, solve_mixed_modulus
 from groupwindows.errors import UndeterminedAtWindowError
 from groupwindows.synthesis import Block, Encoder, represent
 from groupwindows.torsion import FpEchelon
@@ -26,6 +30,7 @@ from groupwindows.window import (
     least_in_difference,
     least_outside,
     least_with_prefix,
+    solve_in_subgroup,
     torsion_subgroup,
 )
 
@@ -344,3 +349,73 @@ def test_socle_solve_round_trips(family, data):
     else:
         with pytest.raises(UndeterminedAtWindowError):
             represent(z, enc)
+
+
+@st.composite
+def p_groups_with_roots(draw):
+    """A p-group over Z(p), Z(p^2), Z(p^3) factors, a scale p^h and a target.
+
+    The target is p^h times a member, a member, or any element of the window,
+    so targets with and without roots occur.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    comps = draw(st.lists(st.lists(st.sampled_from([p, p**2, p**3]), min_size=1, max_size=2), min_size=1, max_size=3))
+    w = window_of(*comps)
+    mods = w.flat_orders
+    flats = draw(st.lists(st.tuples(*[st.integers(0, m - 1) for m in mods]), min_size=1, max_size=4))
+    g = WindowSubgroup(w, [w.from_flat(f) for f in flats])
+    scale = p ** draw(st.integers(0, 2))
+    pick = draw(st.sampled_from(["root", "member", "any"]))
+    if pick == "any":
+        return g, scale, w.from_flat(draw(st.tuples(*[st.integers(0, m - 1) for m in mods])))
+    ks = draw(st.lists(st.integers(0, p**3 - 1), min_size=len(flats), max_size=len(flats)))
+    x = w.from_flat([sum(k * f[i] for k, f in zip(ks, flats)) for i in range(len(mods))])
+    return g, scale, x.scale(scale) if pick == "root" else x
+
+
+def _smith_root(g, z, scale):
+    """The root the Smith solve gives: its coefficients over the canonical rows, summed."""
+    rows, mods = g.canonical_rows, g.window.flat_orders
+    A = IntMatrix.from_rows([[scale * row[f] for row in rows] for f in range(len(mods))])
+    ks = solve_mixed_modulus(A, z.flat, mods)
+    if ks is None:
+        return None
+    return g.window.from_flat([sum(k * row[f] for k, row in zip(ks, rows)) for f in range(len(mods))])
+
+
+def _solve_counting_smith(g, z, scale):
+    """``solve_in_subgroup``'s answer and the number of Smith solves it made."""
+    with mock.patch.object(window, "solve_mixed_modulus", wraps=solve_mixed_modulus) as smith:
+        return solve_in_subgroup(g, z, scale=scale), smith.call_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(p_groups_with_roots())
+def test_root_solve_gives_the_smith_root(case):
+    # the map k -> sum k_j scale r_j on prod Z(o_j), o_j the order of
+    # scale r_j, is injective exactly when the scaled group has prod o_j
+    # members; there the root's coefficients are unique and no Smith solve runs
+    g, scale, z = case
+    want = _smith_root(g, z, scale)
+    got, smith_calls = _solve_counting_smith(g, z, scale)
+    assert (got is None) == (want is None)
+    if want is None:
+        assert smith_calls == 0
+        return
+    assert got.flat == want.flat and got.scale(scale) == z and g.contains(got)
+    orders = [x.scale(scale).order() for x in g.canonical_generators]
+    assert smith_calls == (g.scaled(scale).order() != prod(orders))
+
+
+def test_root_with_non_unique_coefficients_takes_the_smith_solve():
+    # in Z4 x Z8 the rows (1, 1), (0, 2) double to (2, 2) and (0, 4), of
+    # orders 4 and 2, but span only 4 elements: 2 (2, 2) == 2 (0, 4)
+    w = window_of([4], [8])
+    g = WindowSubgroup(w, [w.from_flat((1, 1)), w.from_flat((0, 2))])
+    assert g.canonical_rows == ((1, 1), (0, 2))
+    roots = {(0, 0): (0, 0), (0, 4): (0, 2), (2, 2): (1, 1), (2, 6): (1, 3)}  # the Smith solve's
+    for z, root in roots.items():
+        got, smith_calls = _solve_counting_smith(g, w.from_flat(z), 2)
+        assert got.flat == root and smith_calls == 1
+    assert _solve_counting_smith(g, w.from_flat((0, 2)), 2) == (None, 0)
+

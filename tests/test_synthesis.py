@@ -23,6 +23,7 @@ from groupwindows import (
     unroll_template,
     verify_block_properties,
     verify_isomorphic_encoder,
+    window,
 )
 from groupwindows.errors import InputError, UndeterminedAtWindowError
 
@@ -570,3 +571,14 @@ def test_verify_echelons_each_socle_element_a_bounded_number_of_times(shift_temp
     monkeypatch.setattr(torsion.FpEchelon, "add", counted)
     assert verify_block_properties(gs, g).passed()
     assert adds <= 3 * (m + dim)
+
+
+def test_closure_roots_make_no_smith_solve(shift_template, monkeypatch):
+    # every p^h-th root of the closure at N = 32 has unique coefficients,
+    # so each is read off its coefficient graph's echelon
+    calls = []
+    real = window.solve_mixed_modulus
+    monkeypatch.setattr(window, "solve_mixed_modulus", lambda *a: calls.append(a) or real(*a))
+    gs = synthesize(closure_window(shift_template, 32).group).generating_sets[2]
+    assert len(gs.generators) == 32
+    assert calls == []
