@@ -28,7 +28,8 @@ The jobs are:
 
 ``tests/corpus_digests.json`` pins the digests; ``tests/test_corpus.py``
 compares them.  ``PYTHONPATH=src python tests/corpus.py`` prints the jobs
-whose digests differ from the pins.  To re-pin after a change that alters
+whose digests differ from the pins, and exits 1 when there is any, 0 when
+every digest matches.  To re-pin after a change that alters
 outputs on purpose::
 
     PYTHONPATH=src python tests/corpus.py --write
@@ -60,6 +61,7 @@ TEMPLATE = {
     "shifted_generators": [{"start": 2, "stride": 1, "pattern": {"0": [1], "1": [1]}}],
 }
 TEMPLATE_WINDOWS = range(2, 17)
+WIDE_CLOSURE_WINDOWS = (24, 32, 48)
 MIXED_TEMPLATE = {
     "component_template": {"period": 2, "orders": [[2, 4], [3]]},
     "fixed_generators": [{"support": {"1": [-1, 1], "2": [2]}}],
@@ -217,6 +219,11 @@ def run_corpus(root: Path) -> dict[str, str]:
         closure = f"closure-{n}.json"
         corpus.run(f"closure-{n}/unroll", ["unroll", "--input", "template.json", *window, "--closure", "--out", closure])
         corpus.pipeline(f"closure-{n}", closure)
+    for n in WIDE_CLOSURE_WINDOWS:
+        closure, manifest = f"closure-{n}.json", f"closure-{n}.enc.json"
+        corpus.run(f"closure-{n}/unroll", ["unroll", "--input", "template.json", "--window", str(n), "--closure", "--out", closure])
+        corpus.run(f"closure-{n}/synthesize", ["synthesize", "--input", closure, "--out", manifest])
+        corpus.run(f"closure-{n}/verify", ["verify", "--input", closure, "--encoder", manifest])
     corpus.write("mixed-template.json", MIXED_TEMPLATE)
     for n in MIXED_TEMPLATE_WINDOWS:
         window = ["--input", "mixed-template.json", "--window", str(n)]
@@ -252,9 +259,11 @@ if __name__ == "__main__":
     digests = compute()
     if "--write" in sys.argv[1:]:
         DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print(f"{len(digests)} jobs")
     else:
         pinned = json.loads(DIGESTS.read_text())
-        for job in sorted(set(digests) | set(pinned)):
-            if digests.get(job) != pinned.get(job):
-                print(job)
-    print(f"{len(digests)} jobs")
+        changed = [job for job in sorted(set(digests) | set(pinned)) if digests.get(job) != pinned.get(job)]
+        for job in changed:
+            print(job)
+        print(f"{len(digests)} jobs, {len(changed)} differ from their pins")
+        sys.exit(1 if changed else 0)
