@@ -36,8 +36,8 @@ from .window import (
     WindowSubgroup,
     least_outside,
     least_with_prefix,
+    local_section,
     project,
-    section,
     torsion_subgroup,
 )
 
@@ -139,7 +139,7 @@ def _order_witness(g: WindowSubgroup, i: int, cap: int) -> Element:
     free = [[int(k == f) for k in range(F)] for f in range(g.window.flat_slice((1, i))[1], F)]
 
     def offer(q: int) -> WindowSubgroup:
-        reach = project(torsion_subgroup(g, q, (1, cap)), (1, cap))
+        reach = local_section(torsion_subgroup(g, q), (1, cap))
         return WindowSubgroup.from_rows(proj.window, [*reach.basis, *free])
 
     return least_outside(proj, offer)
@@ -160,7 +160,7 @@ def _failure(g: WindowSubgroup, i: int, cap: int, order: bool) -> tuple[Element,
         proj = _order_witness(g, i, cap)
         context["reason"] = "order-obstruction"
     else:
-        proj = least_outside(project(g, (1, i)), project(section(g, (1, cap)), (1, i)))
+        proj = least_outside(project(g, (1, i)), project(local_section(g, (1, cap)), (1, i)))
     context["projection_order"] = proj.order()
     witness = least_with_prefix(g, proj.flat)
     if witness is None:
@@ -406,7 +406,7 @@ def is_weakly_observable(h: WindowSubgroup, *, h_big: Optional[WindowSubgroup] =
         raise InputError("snapshots disagree on the shared coordinate range")
 
     ok = _matched(h_big, n_small, n_small)
-    actual = project(section(h_big, (1, n_small)), (1, n_small))
+    actual = local_section(h_big, (1, n_small))
     witness = None
     context = None
     if not ok:

@@ -52,7 +52,7 @@ from .window import (
     WindowSubgroup,
     least_in_difference,
     least_with_prefix,
-    section,
+    local_section,
     solve_in_subgroup,
 )
 
@@ -119,9 +119,31 @@ def _socle_widths(window, p: int):
     return coords, [sum(f < end for f, _ in coords) for end in window.coord_starts]
 
 
-def _prefix_in_span(echelon: FpEchelon, coords, w: int):
-    """The test whether a socle row's first w socle coordinates lie in the echelon's span cut there."""
-    return lambda row: not any(echelon.reduce([row[f] // half for f, half in coords])[:w])
+def _prefix_in_span(echelon: FpEchelon, coords, w: int, flats):
+    """The test whether a socle row's first w socle coordinates lie in the echelon's span cut there.
+
+    The row is a member of a local section on the flats [s, e): its socle
+    coordinates outside are 0, and so are taken those from w on, which
+    leave the echelon's residue before w as it is.
+    """
+    s, e = flats
+    head = sum(f < s for f, _ in coords)
+    cut = [(f - s, half) for f, half in coords[head:w] if f < e]
+    zeros, tail = [0] * head, [0] * (len(coords) - head - len(cut))
+    return lambda row: not any(echelon.reduce(zeros + [row[f] // half for f, half in cut] + tail)[:w])
+
+
+def _root(sec: WindowSubgroup, interval, z: Element, scale: int) -> Optional[Element]:
+    """A y in the local section ``sec`` on ``interval`` with scale*y == z, in z's window; else None.
+
+    scale*y vanishes outside the interval, so z must too; the root is solved
+    at the interval's width and zero-padded back.
+    """
+    s, e = z.window.flat_slice(interval)
+    if any(z.flat[:s]) or any(z.flat[e:]):
+        return None
+    y = solve_in_subgroup(sec, z.restrict(interval), scale=scale)
+    return None if y is None else y.embed(z.window, interval)
 
 
 def synthesize_p(
@@ -178,8 +200,9 @@ def synthesize_p(
         arena = (d_prev + 1, n_dk)  # where the block's socle elements are supported
         layers = HeightLayers(g, p, arena)
         below = [i for i, n in n_sequence.items() if n < d_k]
-        lift_section = section(g, ((max(below) + 1) if below else 1, n_dk))
-        inside = _prefix_in_span(echelon, coords, widths[d_k])
+        lift = ((max(below) + 1) if below else 1, n_dk)  # where their lifts are supported
+        lift_section = local_section(g, lift)
+        inside = _prefix_in_span(echelon, coords, widths[d_k], g.window.flat_slice(arena))
         added = 0
         while len(xs) < target:
             # the candidates are the arena members with a prefix outside the
@@ -190,11 +213,18 @@ def synthesize_p(
                 determined = False
                 break
             scale = p**h
-            y = solve_in_subgroup(lift_section, z, scale=scale)
+            z = z.embed(g.window, arena)
+            y = _root(lift_section, lift, z, scale)
             if y is None:
-                z_lift = least_in_difference(height_layer(lift_section, p, h, arena), inside)
+                # the arena's part inside the lift section, in its coordinates
+                inner = (max(arena[0], lift[0]), n_dk)
+                layer = height_layer(lift_section, p, h, (inner[0] - lift[0] + 1, n_dk - lift[0] + 1))
+                z_lift = least_in_difference(
+                    layer, _prefix_in_span(echelon, coords, widths[d_k], g.window.flat_slice(inner))
+                )
                 if z_lift is not None:
-                    z, y = z_lift, solve_in_subgroup(lift_section, z_lift, scale=scale)
+                    z = z_lift.embed(g.window, inner)
+                    y = _root(lift_section, lift, z, scale)
                 else:
                     y = solve_in_subgroup(g, z, scale=scale)
                     determined = False
@@ -277,7 +307,7 @@ def verify_block_properties(gs: GeneratingSet, g: WindowSubgroup) -> BlockReport
 
         # (d) membership, maximal height, nonincreasing heights
         layers = HeightLayers(g, p, (d_prev + 1, n_dk))
-        inside = _prefix_in_span(xs, coords, w)
+        inside = _prefix_in_span(xs, coords, w, g.window.flat_slice((d_prev + 1, n_dk)))
         prev_h = None
         for j in range(lo, hi):
             x = gs.socle_elements[j]

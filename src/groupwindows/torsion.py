@@ -14,7 +14,7 @@ from functools import cache
 
 from .errors import InputError
 from .record import Frozen, store
-from .window import Element, ProductWindow, WindowSubgroup, prime_power, torsion_subgroup
+from .window import Element, ProductWindow, WindowSubgroup, local_section, prime_power, torsion_subgroup
 
 
 def _check_prime(p: int):
@@ -128,15 +128,18 @@ def height(x: Element, g: WindowSubgroup, p: int) -> int:
 
 
 def height_layer(g: WindowSubgroup, p: int, h: int, interval=None) -> WindowSubgroup:
-    """L_h = G[p] ∩ p^h G: the socle elements of height at least h, inside ``interval``."""
-    return torsion_subgroup(g.scaled(p**h), p, interval)
+    """L_h = G[p] ∩ p^h G: the socle elements of height at least h; with
+    ``interval``, those supported there, in its sub-window (``local_section``)."""
+    layer = torsion_subgroup(g.scaled(p**h), p)
+    return layer if interval is None else local_section(layer, interval)
 
 
 class HeightLayers(Sequence):
     """The layers L_0 ⊇ L_1 ⊇ ... inside ``interval``, for h < v where exp(G) = p^v.
 
     No socle element has height v or more; layer 0, the socle, is always there.
-    Each layer is built on first read; a bad interval raises at once.
+    Each layer is a subgroup of the interval's sub-window, built on first
+    read; a bad interval raises at once.
     """
 
     def __init__(self, g: WindowSubgroup, p: int, interval):

@@ -12,26 +12,29 @@ generator rows plus the relations m_f e_f span an integer lattice of full
 rank F, and its canonical echelon (Hermite) basis is the subgroup's identity
 card.  A section G_[a,b], the members supported in [a, b], is the kernel of
 the projection onto the other coordinates, so it is one echelon of G's basis
-rows from a on, and none when b = N (``section``).  The torsion subgroup
-G[q] is one echelon of pairs (``kernel_subgroup``), built once per q and
-kept on G; every torsion subgroup inside an interval is a section of it.
-Each subgroup also keeps its section orders, one list per start coordinate.
-Least members are read off echelon rows (``least_in_difference``,
-``least_with_prefix``), and so are the failure witnesses lifted from a
-prefix and the coefficients of the p^h-th roots of synthesis
-(``solve_in_subgroup``); the Smith normal form serves only a root whose
-coefficients are not unique.  Elements are built only at the edges: file
-I/O, witnesses, and generators written out.
+rows from a on, and none when b = N.  It is kept local: a subgroup of the
+sub-window [a, b] that keeps its placement in G's window
+(``local_section``), so that whatever is read off it runs at the interval's
+width; ``section`` zero-pads it back.  The torsion subgroup G[q] is one
+echelon of pairs (``kernel_subgroup``), built once per q and kept on G;
+every torsion subgroup inside an interval is a section of it.  Each subgroup
+also keeps its section orders, one list per start coordinate.  Least members
+are read off echelon rows (``least_in_difference``, ``least_with_prefix``),
+and so are the failure witnesses lifted from a prefix and the coefficients
+of the p^h-th roots of synthesis (``solve_in_subgroup``); the Smith normal
+form serves only a root whose coefficients are not unique.  Elements are
+built only at the edges: file I/O, witnesses, and generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
-one is known: ``section`` and ``kernel_subgroup`` pass the rows of their
-echelons, ``project`` onto a prefix of flat width e passes G's first e basis
-rows cut to width e, and ``primary_decompose`` G's rows with a pivot at a
-p-power factor, cut to those factors.  By the uniqueness of the Hermite
-normal form (Cohen, A Course in Computational Algebraic Number Theory,
-2.4.3) these are exact: the rows keep a pivot in every column and every
-entry above a pivot reduced.  ``ProductWindow.element`` and ``from_flat``
-reduce; the ``Element`` constructor trusts its tuple.
+one is known: ``local_section``, ``section`` and ``kernel_subgroup`` pass
+the rows of their echelons, ``project`` onto a prefix of flat width e passes
+G's first e basis rows cut to width e, and ``primary_decompose`` G's rows
+with a pivot at a p-power factor, cut to those factors.  By the uniqueness
+of the Hermite normal form (Cohen, A Course in Computational Algebraic
+Number Theory, 2.4.3) these are exact: the rows keep a pivot in every column
+and every entry above a pivot reduced.  So a local section's basis is the
+full section's cut to the interval.  ``ProductWindow.element`` and
+``from_flat`` reduce; the ``Element`` constructor trusts its tuple.
 
 All coordinate indices in the public interface are 1-based and intervals are
 inclusive, matching the certificate and file formats.
@@ -237,6 +240,12 @@ class ProductWindow(Frozen):
     def zero(self) -> "Element":
         return Element(self, (0,) * self.flat_length)
 
+    @cached_property
+    def relation_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The relation rows m_f e_f, one per flat factor, built once per window."""
+        F = self.flat_length
+        return tuple((0,) * f + (m,) + (0,) * (F - f - 1) for f, m in enumerate(self.flat_orders))
+
     def full_subgroup(self) -> "WindowSubgroup":
         F = self.flat_length
         return WindowSubgroup.from_rows(self, [[int(k == f) for k in range(F)] for f in range(F)])
@@ -318,7 +327,11 @@ class WindowSubgroup:
     class is usable as a decidable stand-in for abstract subgroup equality.
     Instances are immutable; derived data (basis, generators, element lists,
     scaled and torsion subgroups, section orders) is cached on first use.
+    A local section keeps its ``placement``: the window it was cut from and
+    the interval, None for any other subgroup.
     """
+
+    placement = None
 
     def __init__(self, window: ProductWindow, generators=()):
         gens = tuple(generators)
@@ -357,11 +370,8 @@ class WindowSubgroup:
     @cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """Canonical full-rank basis of the generator lattice plus relations."""
-        F = self.window.flat_length
-        rows = list(self._rows)
-        for f, m in enumerate(self.window.flat_orders):
-            rows.append([m if k == f else 0 for k in range(F)])
-        return tuple(tuple(r) for r in row_lattice_basis(rows, F))
+        rows = [*self._rows, *self.window.relation_rows]
+        return tuple(tuple(r) for r in row_lattice_basis(rows, self.window.flat_length))
 
     @cached_property
     def canonical_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -546,32 +556,48 @@ def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
     """
     F = g.window.flat_length
     rows = [list(b) * 2 for b in g.basis]
-    rows += [[tf if k == f else 0 for k in range(2 * F)] for f, tf in enumerate(t)]
+    rows += [(0,) * f + (tf,) + (0,) * (2 * F - f - 1) for f, tf in enumerate(t)]
     kernel = [r[F:] for r in row_lattice_basis(rows, 2 * F)[F:]]
     return WindowSubgroup.from_rows(g.window, kernel, tuple(map(tuple, kernel)))
 
 
-def section(g: WindowSubgroup, interval) -> WindowSubgroup:
-    """Members of the subgroup supported inside ``interval``, in the full window.
+def local_section(g: WindowSubgroup, interval) -> WindowSubgroup:
+    """Members of the subgroup supported inside ``interval``, in the interval's sub-window.
 
     With [s, e) the interval's flats, the section is the kernel of the
     projection onto the flats outside it.  G's basis rows from s on span the
     members vanishing before s.  With the flats from e on moved to the
     front, their echelon ends in e - s rows that vanish from e on: these
-    span the members vanishing outside [s, e) and are the section's
-    canonical rows there.  Relations m_f e_f fill the flats outside.  When
-    e = F nothing moves: G's rows from s on are those rows, with no echelon.
+    span the members vanishing outside [s, e), and cut to [s, e) they are
+    the section's canonical basis in ``g.window.subwindow(interval)``.  When
+    e = F nothing moves: G's rows from s on, cut, are that basis, with no
+    echelon.  The section keeps (G's window, ``interval``) as its placement;
+    it and its members are placed back there (``section``,
+    ``Element.embed``) before they meet subgroups of G's window.
     """
     F = g.window.flat_length
     s, e = g.window.flat_slice(interval)
-    inner = g.basis[s:]
     if e < F:
         moved = row_lattice_basis([row[e:] + row[s:e] for row in g.basis[s:]], F - s)
-        inner = [(0,) * s + tuple(row[F - e :]) + (0,) * (F - e) for row in moved[F - e :]]
-    basis = tuple(
-        inner[f - s] if s <= f < e else tuple(m if k == f else 0 for k in range(F))
-        for f, m in enumerate(g.window.flat_orders)
-    )
+        basis = tuple(tuple(row[F - e :]) for row in moved[F - e :])
+    else:
+        basis = tuple(row[s:] for row in g.basis[s:])
+    local = WindowSubgroup.from_rows(g.window.subwindow(interval), basis, basis)
+    local.placement = (g.window, interval)
+    return local
+
+
+def section(g: WindowSubgroup, interval) -> WindowSubgroup:
+    """Members of the subgroup supported inside ``interval``, in the full window.
+
+    The local section zero-padded: its basis rows at the interval's flats
+    [s, e), and the relations m_f e_f at the flats outside.
+    """
+    F = g.window.flat_length
+    s, e = g.window.flat_slice(interval)
+    relations = g.window.relation_rows
+    inner = tuple((0,) * s + row + (0,) * (F - e) for row in local_section(g, interval).basis)
+    basis = relations[:s] + inner + relations[e:]
     return WindowSubgroup.from_rows(g.window, basis, basis)
 
 
@@ -685,7 +711,8 @@ def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Ele
     K is spanned by the o_j e_j, that is when those rows are diagonal (they
     are then o_j e_j); k is then unique in prod [0, o_j), so it is what the
     Smith solve gave.  Otherwise the Smith solve still picks k, and the root
-    depends on its pivoting there.
+    depends on its pivoting there; on a local section it is posed as on the
+    section in its placement's window, with zero rows at the flats outside.
     """
     if target.window != g.window:
         raise InputError("element and subgroup live in different windows")
@@ -704,8 +731,13 @@ def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Ele
         return None
     coeffs = lift[F:]
     if any(any(row[f + 1 :]) for f, row in enumerate(echelon[F:], start=F)):
-        A = IntMatrix.from_rows(list(zip(*(row[:F] for row in graph[: len(rows)]))))
-        coeffs = solve_mixed_modulus(A, list(target.flat), list(mods))
+        A, b, m = list(zip(*(row[:F] for row in graph[: len(rows)]))), list(target.flat), list(mods)
+        if g.placement is not None:
+            window, interval = g.placement
+            s, e = window.flat_slice(interval)
+            zero, pad = (0,) * len(rows), window.flat_length - e
+            A, b, m = [zero] * s + A + [zero] * pad, [0] * s + b + [0] * pad, list(window.flat_orders)
+        coeffs = solve_mixed_modulus(IntMatrix.from_rows(A), b, m)
     flat = [0] * F
     for k, row in zip(coeffs, rows):
         if k:

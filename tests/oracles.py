@@ -8,7 +8,9 @@ loops, so a certificate can be recomputed by listing elements, and
 which it takes by listing socle elements and their heights.  The library's
 own decisions are reached through ``index_or_failure``, and certificate
 witnesses re-checked by ``revalidate_witness``.  ``rebuilt`` copies a
-library record with some fields changed.
+library record with some fields changed.  The full-window sections, height
+layers and prefix tests are the library's own as they were before sections
+became local; a local one zero-padded (``embedded``) must equal them.
 """
 
 import inspect
@@ -582,6 +584,57 @@ def listing_reference():
     finally:
         for module, name, fn in saved:
             setattr(module, name, fn)
+
+
+# -- the full-window reference for local sections ------------------------
+#
+# A section, a height layer and the prefix test of synthesis as they were
+# computed before they became local: in G's full window, one relation row
+# m_f e_f per flat outside the interval.  These use the library's echelon,
+# because what they check is where the rows go, not the echelon itself.
+
+
+def full_window_section(g, interval):
+    """The members of G supported inside ``interval``, in G's full window."""
+    from groupwindows.intlinalg import row_lattice_basis
+    from groupwindows.window import WindowSubgroup
+
+    F = g.window.flat_length
+    s, e = g.window.flat_slice(interval)
+    inner = g.basis[s:]
+    if e < F:
+        moved = row_lattice_basis([row[e:] + row[s:e] for row in g.basis[s:]], F - s)
+        inner = [(0,) * s + tuple(row[F - e :]) + (0,) * (F - e) for row in moved[F - e :]]
+    basis = tuple(
+        inner[f - s] if s <= f < e else tuple(m if k == f else 0 for k in range(F))
+        for f, m in enumerate(g.window.flat_orders)
+    )
+    return WindowSubgroup.from_rows(g.window, basis, basis)
+
+
+def full_window_height_layer(g, p, h, interval):
+    """G[p] ∩ p^h G, its members supported inside ``interval``, in G's full window."""
+    from groupwindows.window import torsion_subgroup
+
+    return full_window_section(torsion_subgroup(g.scaled(p**h), p), interval)
+
+
+def full_window_prefix_in_span(echelon, coords, w):
+    """Synthesis's prefix test on a full-window socle row."""
+    return lambda row: not any(echelon.reduce([row[f] // half for f, half in coords])[:w])
+
+
+def embedded(local, window, interval):
+    """A subgroup of ``window.subwindow(interval)`` zero-padded into ``window``, its rows kept as they are."""
+    from groupwindows.window import WindowSubgroup
+
+    if local.window != window.subwindow(interval):
+        raise ValueError("the subgroup does not live on the interval's sub-window")
+    F = window.flat_length
+    s, e = window.flat_slice(interval)
+    rows = [tuple(m if k == f else 0 for k in range(F)) for f, m in enumerate(window.flat_orders)]
+    rows[s:e] = [(0,) * s + tuple(row) + (0,) * (F - e) for row in local.basis]
+    return WindowSubgroup.from_rows(window, rows, tuple(rows))
 
 
 def _reference_place(window, placements):

@@ -539,16 +539,17 @@ def test_a_wider_part_margin_certifies_the_part_again(monkeypatch):
 
 def test_height_layers_are_built_on_demand(shift_template, monkeypatch):
     # the closure at N = 8 has eight blocks of two layers; seven blocks stop
-    # at the top layer, so each command builds at most 8 + 1 of the 16
+    # at the top layer, so each command builds at least one layer per block
+    # and at most 8 + 1 of the 16
     g = closure_window(shift_template, 8).group
     built = []
     real = torsion.height_layer
     monkeypatch.setattr(torsion, "height_layer", lambda *a: built.append(a[2:]) or real(*a))
     gs = synthesize(g).generating_sets[2]
-    assert len(built) <= 9
+    assert 8 <= len(built) <= 9
     built.clear()
     assert verify_block_properties(gs, g).passed()
-    assert len(built) <= 9
+    assert 8 <= len(built) <= 9
 
 
 def test_verify_echelons_each_socle_element_a_bounded_number_of_times(shift_template, monkeypatch):

@@ -128,8 +128,10 @@ def test_random_groups_and_parts_match_listing():
 
 
 def test_verify_builds_no_lattice_span_or_projection(shift_template, monkeypatch):
-    # every span clause is read off socle rows: with the lattice span,
-    # projection and sub-window refusing, the reports are unchanged
+    # every span clause is read off socle rows: with the lattice span and
+    # the projections of subgroups and of elements refusing, the reports
+    # are unchanged; the only sub-windows built are the arenas, where the
+    # height layers of clause (d) live as local sections
     cases = []
     groups = [closure_window(shift_template, n).group for n in range(2, 13)]
     for g in _random_groups(314, 200):
@@ -148,10 +150,23 @@ def test_verify_builds_no_lattice_span_or_projection(shift_template, monkeypatch
 
     monkeypatch.setattr(synthesis, "WindowSubgroup", refuse)
     monkeypatch.setattr(window, "project", refuse)
-    monkeypatch.setattr(window.ProductWindow, "subwindow", refuse)
+    monkeypatch.setattr(window.Element, "restrict", refuse)
+    real_subwindow, built = window.ProductWindow.subwindow, []
+    monkeypatch.setattr(
+        window.ProductWindow, "subwindow", lambda w, interval: built.append(interval) or real_subwindow(w, interval)
+    )
     assert len(cases) >= 400
+    local = 0
     for variant, part, want in cases:
+        built.clear()
         assert _outcome(_checks, variant, part) == want
+        n_window, d_prev, arenas = part.window.length, 0, set()
+        for block in variant.blocks:
+            arenas.add((d_prev + 1, variant.n_sequence.get(block.d, n_window)))
+            d_prev = block.d
+        assert set(built) <= arenas
+        local += bool(built)
+    assert local >= 400
 
 
 def test_synthesize_p_under_arbitrary_index_maps(monkeypatch):
