@@ -11,8 +11,8 @@ The three workhorses are
   with a divisibility chain, U and V kept as logs of operations until read,
 * ``row_lattice_basis``: the canonical echelon basis of an integer row
   lattice (used for subgroup canonical forms, membership, sections and
-  section orders, and torsion subgroups, see ``window.section`` and
-  ``window.kernel_subgroup``),
+  section orders, and torsion subgroups, see ``window.local_section``,
+  ``WindowSubgroup.section_order`` and ``window.kernel_subgroup``),
 * ``solve_mixed_modulus``: solve A x = b componentwise modulo a vector of
   moduli, the lattice form of "is this element a combination of these
   generators".
@@ -50,31 +50,20 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-class IntMatrix(Frozen):
+class IntMatrix(Frozen, fields=("rows", "cols", "data")):
     """Dense integer matrix; ``data`` is a tuple of row tuples."""
 
     def __init__(self, rows: int, cols: int, data: tuple[tuple[int, ...], ...]):
         store(self, "rows", rows)
         store(self, "cols", cols)
         store(self, "data", data)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
-        if len(self.data) != self.rows:
-            raise InputError(f"expected {self.rows} rows, got {len(self.data)}")
-        for i, row in enumerate(self.data):
-            if len(row) != self.cols:
-                raise InputError(f"row {i}: expected {self.cols} entries, got {len(row)}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        if len(data) != rows:
+            raise InputError(f"expected {rows} rows, got {len(data)}")
+        for i, row in enumerate(data):
+            if len(row) != cols:
+                raise InputError(f"row {i}: expected {cols} entries, got {len(row)}")
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -112,21 +101,13 @@ class IntMatrix(Frozen):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
 
-class SnfResult(Frozen):
+class SnfResult(Frozen, fields=("D", "row_ops", "col_ops")):
     """U * M * V = D, the Smith normal form; U and V are built from the operation logs when read."""
 
     def __init__(self, D: IntMatrix, row_ops: tuple[tuple, ...], col_ops: tuple[tuple, ...]):
         store(self, "D", D)
         store(self, "row_ops", row_ops)
         store(self, "col_ops", col_ops)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.D, self.row_ops, self.col_ops) == (other.D, other.row_ops, other.col_ops)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.D, self.row_ops, self.col_ops))
 
     @cached_property
     def U(self) -> IntMatrix:

@@ -57,20 +57,12 @@ from .window import (
 )
 
 
-class Block(Frozen):
+class Block(Frozen, fields=("d", "size")):
     """One synthesis stage: boundary depth d and how many generators it added."""
 
     def __init__(self, d: int, size: int):
         store(self, "d", d)
         store(self, "size", size)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.d, self.size) == (other.d, other.size)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.d, self.size))
 
 
 class GeneratingSet(Frozen):
@@ -93,12 +85,9 @@ class GeneratingSet(Frozen):
         store(self, "heights", heights)
         store(self, "n_sequence", n_sequence)
         store(self, "determined", determined)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not (len(self.socle_elements) == len(self.generators) == len(self.heights)):
+        if not (len(socle_elements) == len(generators) == len(heights)):
             raise InputError("generating set fields disagree on the generator count")
-        if any(b.size < 1 for b in self.blocks) or sum(b.size for b in self.blocks) != len(self.generators):
+        if any(b.size < 1 for b in blocks) or sum(b.size for b in blocks) != len(generators):
             raise InputError("blocks must each add a generator and together list them all")
 
     @property

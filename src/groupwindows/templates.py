@@ -18,19 +18,11 @@ from .record import Frozen, store
 from .window import ComponentGroup, ProductWindow, WindowSubgroup, project
 
 
-class FixedGenerator(Frozen):
+class FixedGenerator(Frozen, fields=("support",)):
     """A generator with explicit support: sorted (coordinate, residues) pairs."""
 
     def __init__(self, support: tuple[tuple[int, tuple[int, ...]], ...]):
         store(self, "support", support)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.support,) == (other.support,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.support,))
 
     def max_coordinate(self) -> int:
         return max(c for c, _ in self.support) if self.support else 0
@@ -42,31 +34,20 @@ class FixedGenerator(Frozen):
         return max(coords) - min(coords) + 1
 
 
-class ShiftedGenerator(Frozen):
+class ShiftedGenerator(Frozen, fields=("start", "stride", "pattern")):
     """A pattern stamped at start, start+stride, ...; offsets are 0-based."""
 
     def __init__(self, start: int, stride: int, pattern: tuple[tuple[int, tuple[int, ...]], ...]):
         store(self, "start", start)
         store(self, "stride", stride)
         store(self, "pattern", pattern)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.stride < 1:
+        if stride < 1:
             raise InputError("shifted generator stride must be >= 1")
-        if self.start < 1:
+        if start < 1:
             raise InputError("shifted generator start must be >= 1")
-        for off, _ in self.pattern:
+        for off, _ in pattern:
             if off < 0:
                 raise InputError("pattern offsets must be >= 0")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.start, self.stride, self.pattern) == (other.start, other.stride, other.pattern)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.start, self.stride, self.pattern))
 
     def width(self) -> int:
         if not self.pattern:
@@ -78,7 +59,9 @@ class ShiftedGenerator(Frozen):
         return max((o for o, _ in self.pattern), default=0)
 
 
-class TemplateSpec(Frozen):
+class TemplateSpec(
+    Frozen, fields=("period", "component_orders", "fixed_generators", "shifted_generators")
+):
     """Periodic components plus fixed and shifted generator families."""
 
     def __init__(
@@ -92,30 +75,13 @@ class TemplateSpec(Frozen):
         store(self, "component_orders", component_orders)
         store(self, "fixed_generators", fixed_generators)
         store(self, "shifted_generators", shifted_generators)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.period < 1:
+        if period < 1:
             raise InputError("component template period must be >= 1")
-        if len(self.component_orders) != self.period:
+        if len(component_orders) != period:
             raise InputError(
-                f"component template lists {len(self.component_orders)} coordinate "
-                f"shapes but declares period {self.period}"
+                f"component template lists {len(component_orders)} coordinate "
+                f"shapes but declares period {period}"
             )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.period, self.component_orders, self.fixed_generators, self.shifted_generators
-            ) == (
-                other.period, other.component_orders, other.fixed_generators, other.shifted_generators
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(
-            (self.period, self.component_orders, self.fixed_generators, self.shifted_generators)
-        )
 
     def component_at(self, coordinate: int) -> tuple[int, ...]:
         return self.component_orders[(coordinate - 1) % self.period]
@@ -132,7 +98,7 @@ class TemplateSpec(Frozen):
         return max(widths, default=0)
 
 
-class UnrollResult(Frozen):
+class UnrollResult(Frozen, fields=("window", "group", "skipped")):
     def __init__(
         self,
         window: ProductWindow,
@@ -142,14 +108,6 @@ class UnrollResult(Frozen):
         store(self, "window", window)
         store(self, "group", group)
         store(self, "skipped", skipped)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.window, self.group, self.skipped) == (other.window, other.group, other.skipped)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.window, self.group, self.skipped))
 
 
 def _place(window: ProductWindow, placements) -> list[int]:

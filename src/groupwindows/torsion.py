@@ -167,7 +167,7 @@ class HeightLayers(Sequence):
         return -1, None
 
 
-class PrimaryPart(Frozen):
+class PrimaryPart(Frozen, fields=("prime", "coordinates", "window", "subgroup", "flat_positions")):
     """One p-part: the coordinates kept, the sub-window, and the image group."""
 
     def __init__(
@@ -185,18 +185,6 @@ class PrimaryPart(Frozen):
         store(self, "subgroup", subgroup)
         store(self, "flat_positions", flat_positions)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.prime, self.coordinates, self.window, self.subgroup, self.flat_positions
-            ) == (
-                other.prime, other.coordinates, other.window, other.subgroup, other.flat_positions
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prime, self.coordinates, self.window, self.subgroup, self.flat_positions))
-
     def embed(self, x: Element, parent: ProductWindow) -> Element:
         """Zero-pad a part element back into the parent window."""
         if x.window != self.window:
@@ -211,19 +199,11 @@ class PrimaryPart(Frozen):
         return self.window.from_flat([x.flat[pos] for pos in self.flat_positions])
 
 
-class PrimaryDecomposition(Frozen):
+class PrimaryDecomposition(Frozen, fields=("window", "primes", "parts")):
     def __init__(self, window: ProductWindow, primes: tuple[int, ...], parts: tuple[PrimaryPart, ...]):
         store(self, "window", window)
         store(self, "primes", primes)
         store(self, "parts", parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.window, self.primes, self.parts) == (other.window, other.primes, other.parts)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.window, self.primes, self.parts))
 
     def part(self, p: int) -> PrimaryPart:
         for part in self.parts:

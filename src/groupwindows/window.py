@@ -125,25 +125,17 @@ def _prime_factor(n: int) -> tuple[int, int]:
     return pk
 
 
-class ComponentGroup(Frozen):
+class ComponentGroup(Frozen, fields=("factor_orders",)):
     """One coordinate group, a direct sum of cyclic prime-power factors."""
 
     def __init__(self, factor_orders: tuple[int, ...]):
         store(self, "factor_orders", factor_orders)
         self.__post_init__()
 
-    def __post_init__(self):
+    def __post_init__(self):  # a method of its own: perfbench/tracing.py times it by name
         store(self, "factor_orders", tuple(int(m) for m in self.factor_orders))
         for m in self.factor_orders:
             _prime_factor(m)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.factor_orders,) == (other.factor_orders,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.factor_orders,))
 
     @property
     def order(self) -> int:
@@ -153,17 +145,12 @@ class ComponentGroup(Frozen):
         return {_prime_factor(m)[0] for m in self.factor_orders}
 
 
-class ProductWindow(Frozen):
+class ProductWindow(Frozen, fields=("components",)):
     """Coordinates 1..N, each carrying a ComponentGroup; sub-windows are kept per interval."""
 
     def __init__(self, components: tuple[ComponentGroup, ...]):
-        store(self, "components", components)
-        self.__post_init__()
-
-    def __post_init__(self):
         comps = tuple(
-            c if isinstance(c, ComponentGroup) else ComponentGroup(tuple(c))
-            for c in self.components
+            c if isinstance(c, ComponentGroup) else ComponentGroup(tuple(c)) for c in components
         )
         if len(comps) < 1:
             raise InputError("a window needs at least one coordinate")
@@ -179,12 +166,7 @@ class ProductWindow(Frozen):
             _subwindows={},
         )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.components,) == (other.components,)
-        return NotImplemented
-
-    def __hash__(self):
+    def __hash__(self):  # the hash of the components, taken once
         return self._hash
 
     @property
@@ -254,23 +236,20 @@ class ProductWindow(Frozen):
         return WindowSubgroup(self, ())
 
     def primes(self) -> tuple[int, ...]:
+        return self._primes
+
+    @cached_property
+    def _primes(self) -> tuple[int, ...]:
+        """The primes of the factor orders, found on first use and kept."""
         return tuple(sorted(set().union(*(c.primes() for c in self.components))))
 
 
-class Element(Frozen):
+class Element(Frozen, fields=("window", "flat")):
     """A point of a window: one residue in [0, m_f) per flat factor f, trusted."""
 
     def __init__(self, window: ProductWindow, flat: tuple[int, ...]):
         store(self, "window", window)
         store(self, "flat", flat)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.window, self.flat) == (other.window, other.flat)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.window, self.flat))
 
     @property
     def residues(self) -> tuple[tuple[int, ...], ...]:
@@ -601,18 +580,14 @@ def section(g: WindowSubgroup, interval) -> WindowSubgroup:
     return WindowSubgroup.from_rows(g.window, basis, basis)
 
 
-def torsion_subgroup(g: WindowSubgroup, q: int, interval=None) -> WindowSubgroup:
-    """The members of G killed by q, and with ``interval`` supported inside it.
-
-    G[q] = { x in G : q*x == 0 } is one kernel, built once per q and kept on
-    G; inside an interval the answer is the section of G[q] there.
-    """
+def torsion_subgroup(g: WindowSubgroup, q: int) -> WindowSubgroup:
+    """G[q] = { x in G : q*x == 0 }, one kernel, built once per q and kept on G."""
     tor = g._torsion_cache.get(q)
     if tor is None:
         # q*x vanishes iff every flat residue is divisible by m_f / gcd(m_f, q)
         t = [m // gcd(m, q) for m in g.window.flat_orders]
         tor = g._torsion_cache[q] = kernel_subgroup(g, t)
-    return tor if interval is None else section(tor, interval)
+    return tor
 
 
 def least_outside(a: WindowSubgroup, b) -> Element | None:

@@ -167,7 +167,7 @@ def test_torsion_subgroup_over_an_interval(g, data):
     inside = oracles.naive_section(members, g.window.coord_slices, (lo, hi))
     for q in _divisors(g.exponent()):
         expected = {v for v in inside if all((q * r) % m == 0 for r, m in zip(v, mods))}
-        assert _flats(torsion_subgroup(g, q, (lo, hi))) == expected
+        assert _flats(section(torsion_subgroup(g, q), (lo, hi))) == expected
 
 
 @SETTINGS

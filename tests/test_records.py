@@ -1,7 +1,7 @@
 """The package's record classes: fields, defaults, validation, equality, immutability.
 
-Each record class writes out its ``__init__``, ``__eq__`` and ``__hash__``
-on ``groupwindows.record.Frozen``; these tests pin the behaviour the classes
+Each record class writes out its ``__init__`` on ``groupwindows.record.Frozen``
+and declares the fields it compares by; these tests pin the behaviour the classes
 had as frozen dataclasses, and keep dataclasses out of the package.
 """
 
@@ -16,7 +16,7 @@ import groupwindows
 from groupwindows.control import Certificate
 from groupwindows.errors import InputError
 from groupwindows.intlinalg import IntMatrix, SnfResult
-from groupwindows.record import Frozen
+from groupwindows.record import Frozen, store
 from groupwindows.synthesis import (
     Block,
     BlockReport,
@@ -252,3 +252,23 @@ def test_window_keeps_its_derived_fields_and_snf_its_cached_factors():
     assert window.subwindow((1, 1)) is window.subwindow((1, 1))
     snf = SnfResult(IntMatrix.identity(2), (), ())
     assert snf.U is snf.U and snf.V == IntMatrix.identity(2)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_value_records_declare_their_init_parameters_as_fields(cls):
+    # a record compared by identity declares none
+    expected = () if cls in BY_IDENTITY else tuple(inspect.signature(cls).parameters)
+    assert cls.fields == expected
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, name) for cls in CLASSES if cls not in BY_IDENTITY for name in RECORDS[cls][0]],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_changing_one_field_makes_records_unequal(cls, name):
+    _, make = RECORDS[cls]
+    a, b = cls(*make()), cls(*make())
+    assert a == b
+    store(b, name, object())
+    assert a != b and b != a and not a == b
