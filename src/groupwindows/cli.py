@@ -15,9 +15,10 @@ from pathlib import Path
 from . import fileio
 from .control import FAILS, HOLDS, UNDETERMINED, PROPERTIES, certify
 from .errors import InputError, UndeterminedAtWindowError
-from .synthesis import CombinedEncoder, Encoder, synthesize, verify_block_properties
+from .synthesis import CombinedEncoder, Encoder, GeneratingSet, synthesize, verify_block_properties
 from .templates import closure_window, unroll_template
 from .torsion import primary_decompose
+from .window import Element
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -166,6 +167,20 @@ def cmd_synthesize(args) -> int:
     return EXIT_HOLDS
 
 
+def _on_window(gs: GeneratingSet, window) -> GeneratingSet:
+    """``gs`` with its elements moved onto ``window``, a window equal to theirs.
+
+    Each later window check between them and the part is then an identity test.
+    """
+
+    def move(xs):
+        return tuple(Element(window, x.flat) for x in xs)
+
+    return GeneratingSet(
+        gs.prime, gs.blocks, move(gs.socle_elements), move(gs.generators), gs.heights, gs.n_sequence, gs.determined
+    )
+
+
 def cmd_verify(args) -> int:
     """Re-check encoder files against their group and report every verdict.
 
@@ -215,6 +230,7 @@ def cmd_verify(args) -> int:
             raise InputError(
                 f"encoder coordinates for prime {gs.prime} do not match the group"
             )
+        gs = _on_window(gs, part.window)
         block_report = verify_block_properties(gs, part.subgroup)
         parts[str(gs.prime)] = {
             name: {"pass": ok, "detail": detail}

@@ -292,6 +292,9 @@ def parse_encoder(payload, where: str = "encoder") -> tuple[GeneratingSet, Produ
     ]
     socle_raw = payload.get("socle_elements")
     heights = _int_list(payload["heights"], f"{where}.heights")
+    for k, h in enumerate(heights):
+        if h < 0:
+            raise InputError(f"{where}.heights[{k}]: height {h} is negative")
     if socle_raw is not None:
         xs = [
             _parse_element(raw, window, f"{where}.socle_elements[{k}]")

@@ -10,25 +10,24 @@ The three workhorses are
 * ``smith_normal_form``: U * M * V = D with U, V unimodular and D diagonal
   with a divisibility chain, U and V kept as logs of operations until read,
 * ``row_lattice_basis``: the canonical echelon basis of an integer row
-  lattice (used for subgroup canonical forms, membership, sections and
-  section orders, and torsion subgroups, see ``window.local_section``,
-  ``WindowSubgroup.section_order`` and ``window.kernel_subgroup``),
+  lattice and relations m_f e_f (used for subgroup canonical forms,
+  membership, sections and section orders, torsion subgroups and roots, see
+  ``window.local_section``, ``WindowSubgroup.section_order``,
+  ``window.kernel_subgroup`` and ``window.solve_in_subgroup``),
 * ``solve_mixed_modulus``: solve A x = b componentwise modulo a vector of
   moduli, the lattice form of "is this element a combination of these
   generators".
 
-Inside the library the Smith normal form serves only ``solve_mixed_modulus``,
-which applies the logs to vectors and never builds U or V, and which only
-``window.solve_in_subgroup`` calls, for a p^h-th root of synthesis whose
-coefficients are not unique; the other roots, and every failure witness,
-are read off echelon rows.
-``left_kernel_basis`` stays a public function of this module (the
-benchmark's tracer wraps it by name), but no library code calls it.
+No library code calls the Smith normal form family (``smith_normal_form``,
+``solve_mixed_modulus``, ``left_kernel_basis``): every subgroup question,
+root and failure witness is read off echelon rows.  The family stays public
+API, which demo 01 shows and the benchmark's tracer wraps by name.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, repeat
 from math import gcd, lcm
 
 from .errors import InputError
@@ -222,19 +221,25 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
     return SnfResult(D=IntMatrix.from_rows(a), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
-def row_lattice_basis(rows, width: int) -> list[list[int]]:
-    """Canonical echelon basis of the integer lattice spanned by ``rows``.
+def row_lattice_basis(rows, width: int, mods=()) -> list[list[int]]:
+    """Canonical echelon basis of the integer lattice spanned by ``rows`` and
+    the relations m_f e_f, one for each nonzero ``mods[f]``.
 
+    The relations come after the rows, each reduced from its own column f.
     Returns pivot rows ordered by pivot column.  Pivots are positive and every
     entry above a pivot is reduced into [0, pivot), so two generating sets of
     the same lattice produce identical output.
     """
     basis: dict[int, list[int]] = {}  # pivot column -> row
-    for row in rows:
-        vec = list(row)
+    relations = []  # (m_f e_f, f)
+    for f, m in enumerate(mods):
+        if m:
+            vec = [0] * width
+            vec[f] = m
+            relations.append((vec, f))
+    for vec, j in chain(zip(map(list, rows), repeat(0)), relations):
         if len(vec) != width:
             raise InputError("row width mismatch in lattice basis")
-        j = 0
         while j < width:
             if not vec[j]:
                 j += 1

@@ -8,22 +8,22 @@ product of cyclic groups Z(m_1) x ... x Z(m_F).
 The core works on flat integer rows of width F.  An ``Element`` is one flat
 tuple reduced into [0, m_f); its residues per coordinate and its support are
 read off it.  Subgroups are identified by a canonical lattice basis: the
-generator rows plus the relations m_f e_f span an integer lattice of full
-rank F, and its canonical echelon (Hermite) basis is the subgroup's identity
-card.  A section G_[a,b], the members supported in [a, b], is the kernel of
-the projection onto the other coordinates, so it is one echelon of G's basis
-rows from a on, and none when b = N.  It is kept local: a subgroup of the
-sub-window [a, b] that keeps its placement in G's window
+generator rows plus the relations m_f e_f, which the echelon adds from the
+moduli, span an integer lattice of full rank F, and its canonical echelon
+(Hermite) basis is the subgroup's identity card.  A section G_[a,b], the
+members supported in [a, b], is the kernel of the projection onto the other
+coordinates, so it is one echelon of G's basis rows from a on, and none when
+b = N.  It is kept local: a subgroup of the sub-window [a, b]
 (``local_section``), so that whatever is read off it runs at the interval's
 width; ``section`` zero-pads it back.  The torsion subgroup G[q] is one
 echelon of pairs (``kernel_subgroup``), built once per q and kept on G;
 every torsion subgroup inside an interval is a section of it.  Each subgroup
 also keeps its section orders, one list per start coordinate.  Least members
 are read off echelon rows (``least_in_difference``, ``least_with_prefix``),
-and so are the failure witnesses lifted from a prefix and the coefficients
-of the p^h-th roots of synthesis (``solve_in_subgroup``); the Smith normal
-form serves only a root whose coefficients are not unique.  Elements are
-built only at the edges: file I/O, witnesses, and generators written out.
+and so are the failure witnesses lifted from a prefix and the least
+coefficients of the p^h-th roots of synthesis (``solve_in_subgroup``); no
+path reaches the Smith normal form.  Elements are built only at the edges:
+file I/O, witnesses, and generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
 one is known: ``local_section``, ``section`` and ``kernel_subgroup`` pass
@@ -48,7 +48,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InputError, WindowScaleError
-from .intlinalg import IntMatrix, row_lattice_basis, solve_mixed_modulus, vector_order
+from .intlinalg import row_lattice_basis, vector_order
 from .record import Frozen, store
 
 # Exact element scans refuse beyond this many elements.
@@ -222,12 +222,6 @@ class ProductWindow(Frozen, fields=("components",)):
     def zero(self) -> "Element":
         return Element(self, (0,) * self.flat_length)
 
-    @cached_property
-    def relation_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The relation rows m_f e_f, one per flat factor, built once per window."""
-        F = self.flat_length
-        return tuple((0,) * f + (m,) + (0,) * (F - f - 1) for f, m in enumerate(self.flat_orders))
-
     def full_subgroup(self) -> "WindowSubgroup":
         F = self.flat_length
         return WindowSubgroup.from_rows(self, [[int(k == f) for k in range(F)] for f in range(F)])
@@ -306,11 +300,7 @@ class WindowSubgroup:
     class is usable as a decidable stand-in for abstract subgroup equality.
     Instances are immutable; derived data (basis, generators, element lists,
     scaled and torsion subgroups, section orders) is cached on first use.
-    A local section keeps its ``placement``: the window it was cut from and
-    the interval, None for any other subgroup.
     """
-
-    placement = None
 
     def __init__(self, window: ProductWindow, generators=()):
         gens = tuple(generators)
@@ -349,8 +339,8 @@ class WindowSubgroup:
     @cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """Canonical full-rank basis of the generator lattice plus relations."""
-        rows = [*self._rows, *self.window.relation_rows]
-        return tuple(tuple(r) for r in row_lattice_basis(rows, self.window.flat_length))
+        window = self.window
+        return tuple(map(tuple, row_lattice_basis(self._rows, window.flat_length, window.flat_orders)))
 
     @cached_property
     def canonical_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -534,9 +524,7 @@ def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
     library builds G[q] with it (``torsion_subgroup``).
     """
     F = g.window.flat_length
-    rows = [list(b) * 2 for b in g.basis]
-    rows += [(0,) * f + (tf,) + (0,) * (2 * F - f - 1) for f, tf in enumerate(t)]
-    kernel = [r[F:] for r in row_lattice_basis(rows, 2 * F)[F:]]
+    kernel = [r[F:] for r in row_lattice_basis([list(b) * 2 for b in g.basis], 2 * F, t)[F:]]
     return WindowSubgroup.from_rows(g.window, kernel, tuple(map(tuple, kernel)))
 
 
@@ -550,9 +538,8 @@ def local_section(g: WindowSubgroup, interval) -> WindowSubgroup:
     span the members vanishing outside [s, e), and cut to [s, e) they are
     the section's canonical basis in ``g.window.subwindow(interval)``.  When
     e = F nothing moves: G's rows from s on, cut, are that basis, with no
-    echelon.  The section keeps (G's window, ``interval``) as its placement;
-    it and its members are placed back there (``section``,
-    ``Element.embed``) before they meet subgroups of G's window.
+    echelon.  It and its members are placed back in G's window (``section``,
+    ``Element.embed``) before they meet subgroups of that window.
     """
     F = g.window.flat_length
     s, e = g.window.flat_slice(interval)
@@ -561,9 +548,7 @@ def local_section(g: WindowSubgroup, interval) -> WindowSubgroup:
         basis = tuple(tuple(row[F - e :]) for row in moved[F - e :])
     else:
         basis = tuple(row[s:] for row in g.basis[s:])
-    local = WindowSubgroup.from_rows(g.window.subwindow(interval), basis, basis)
-    local.placement = (g.window, interval)
-    return local
+    return WindowSubgroup.from_rows(g.window.subwindow(interval), basis, basis)
 
 
 def section(g: WindowSubgroup, interval) -> WindowSubgroup:
@@ -572,11 +557,13 @@ def section(g: WindowSubgroup, interval) -> WindowSubgroup:
     The local section zero-padded: its basis rows at the interval's flats
     [s, e), and the relations m_f e_f at the flats outside.
     """
-    F = g.window.flat_length
+    mods = g.window.flat_orders
+    F = len(mods)
     s, e = g.window.flat_slice(interval)
-    relations = g.window.relation_rows
-    inner = tuple((0,) * s + row + (0,) * (F - e) for row in local_section(g, interval).basis)
-    basis = relations[:s] + inner + relations[e:]
+    inner = [(0,) * s + row + (0,) * (F - e) for row in local_section(g, interval).basis]
+    basis = tuple(
+        inner[f - s] if s <= f < e else (0,) * f + (m,) + (0,) * (F - f - 1) for f, m in enumerate(mods)
+    )
     return WindowSubgroup.from_rows(g.window, basis, basis)
 
 
@@ -680,14 +667,9 @@ def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Ele
     r_j the canonical rows, y is sum(k_j * r_j) for coefficients k with
     sum(k_j * scale * r_j) == target.  They are read off the graph of that
     map, the span of the rows (scale*r_j | e_j) and (m_f e_f | 0), as its
-    least member with prefix target (``_prefix_lift``).  The echelon rows
-    past the first F span the map's kernel K, which holds o_j e_j, o_j the
-    order of scale*r_j.  The map is injective on prod Z(o_j) exactly when
-    K is spanned by the o_j e_j, that is when those rows are diagonal (they
-    are then o_j e_j); k is then unique in prod [0, o_j), so it is what the
-    Smith solve gave.  Otherwise the Smith solve still picks k, and the root
-    depends on its pivoting there; on a local section it is posed as on the
-    section in its placement's window, with zero rows at the flats outside.
+    least member with prefix target (``_prefix_lift``): k is the
+    lexicographically least choice, unique where the map is injective.
+    Any root serves synthesis, as x = p^h y is all the paper asks of y.
     """
     if target.window != g.window:
         raise InputError("element and subgroup live in different windows")
@@ -695,26 +677,15 @@ def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Ele
     if not rows:
         return None if any(target.flat) else target
     mods = g.window.flat_orders
-    F, width = len(mods), len(mods) + len(rows)
+    F = len(mods)
     graph = [[scale * a for a in row] + [0] * len(rows) for row in rows]
     for j, row in enumerate(graph):
         row[F + j] = 1
-    graph += ([0] * f + [m] + [0] * (width - f - 1) for f, m in enumerate(mods))
-    echelon = row_lattice_basis(graph, width)
-    lift = _prefix_lift(echelon, target.flat)
+    lift = _prefix_lift(row_lattice_basis(graph, F + len(rows), mods), target.flat)
     if lift is None:
         return None
-    coeffs = lift[F:]
-    if any(any(row[f + 1 :]) for f, row in enumerate(echelon[F:], start=F)):
-        A, b, m = list(zip(*(row[:F] for row in graph[: len(rows)]))), list(target.flat), list(mods)
-        if g.placement is not None:
-            window, interval = g.placement
-            s, e = window.flat_slice(interval)
-            zero, pad = (0,) * len(rows), window.flat_length - e
-            A, b, m = [zero] * s + A + [zero] * pad, [0] * s + b + [0] * pad, list(window.flat_orders)
-        coeffs = solve_mixed_modulus(IntMatrix.from_rows(A), b, m)
     flat = [0] * F
-    for k, row in zip(coeffs, rows):
+    for k, row in zip(lift[F:], rows):
         if k:
             flat = [a + k * b for a, b in zip(flat, row)]
     return g.window.from_flat(flat)

@@ -33,6 +33,9 @@ every digest matches.  To re-pin after a change that alters
 outputs on purpose::
 
     PYTHONPATH=src python tests/corpus.py --write
+
+It prints the jobs it re-pins and their count, writes the new digests and
+exits 0.
 """
 
 from __future__ import annotations
@@ -257,13 +260,13 @@ def compute() -> dict[str, str]:
 
 if __name__ == "__main__":
     digests = compute()
+    pinned = json.loads(DIGESTS.read_text())
+    changed = [job for job in sorted(set(digests) | set(pinned)) if digests.get(job) != pinned.get(job)]
+    for job in changed:
+        print(job)
+    print(f"{len(digests)} jobs, {len(changed)} differ from their pins")
     if "--write" in sys.argv[1:]:
         DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-        print(f"{len(digests)} jobs")
+        print(f"re-pinned {len(changed)} jobs")
     else:
-        pinned = json.loads(DIGESTS.read_text())
-        changed = [job for job in sorted(set(digests) | set(pinned)) if digests.get(job) != pinned.get(job)]
-        for job in changed:
-            print(job)
-        print(f"{len(digests)} jobs, {len(changed)} differ from their pins")
         sys.exit(1 if changed else 0)

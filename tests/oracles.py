@@ -11,6 +11,8 @@ witnesses re-checked by ``revalidate_witness``.  ``rebuilt`` copies a
 library record with some fields changed.  The full-window sections, height
 layers and prefix tests are the library's own as they were before sections
 became local; a local one zero-padded (``embedded``) must equal them.
+``least_coefficient_roots`` finds the roots of a subgroup's canonical rows
+with the least coefficients by search.
 """
 
 import inspect
@@ -222,6 +224,37 @@ def matrix_solve_mixed_modulus(A, b, mods):
         z[i] = rhs[i] // d if d else 0
     x = [sum(v * w for v, w in zip(row, z)) for row in snf.V.data][:cols]
     return [x[j] % naive_order(A.column(j), mods) for j in range(cols)]
+
+
+def least_coefficient_roots(rows, mods, scale):
+    """Each target of scale * <rows> mapped to its root with the least coefficients.
+
+    The root of t is sum(k_j * r_j), reduced, for the lexicographically least
+    k in prod [0, o_j), o_j the order of scale * r_j, with
+    sum(k_j * scale * r_j) == t.  Built from the last row back: for each
+    target, the least first coefficient that leaves a target the later rows
+    reach, then their least coefficients for it.
+    """
+    zero = (0,) * len(mods)
+    roots = {zero: zero}  # target -> root, over the rows taken so far
+    for r in reversed(rows):
+        step = [scale * a for a in r]
+        wider = {}
+        for k in range(naive_order(step, mods)):
+            for t, y in roots.items():
+                key = tuple((a + k * b) % m for a, b, m in zip(t, step, mods))
+                wider.setdefault(key, tuple((a + k * b) % m for a, b, m in zip(y, r, mods)))
+        roots = wider
+    return roots
+
+
+def unique_root_coefficients(g, scale):
+    """Whether k -> sum(k_j * scale * r_j) over g's canonical rows r_j is
+    injective on prod Z(o_j), o_j the order of scale * r_j: then every root's
+    coefficients are unique there."""
+    mods = g.window.flat_orders
+    orders = [naive_order([scale * a for a in row], mods) for row in g.canonical_rows]
+    return g.scaled(scale).order() == prod(orders)
 
 
 # -- the enumeration reference for certificates ---------------------------

@@ -340,8 +340,13 @@ def test_verify_refuses_blocks_that_do_not_partition_the_generators(blocks, tmp_
         ("blocks", [{"d": 2, "m": 1}, {"d": 1, "m": 2}], "blocks[1].d: depth 1 not above the previous block's 2"),
         ("blocks", [{"d": 1, "m": 1}, {"d": 7, "m": 2}], "blocks[1].d: depth 7 outside [1, 2]"),
         ("n_sequence", {"1": 9, "2": 2}, "n_sequence['1']: index 9 outside [1, 2]"),
+        ("heights", [-1, 0], "heights[0]: height -1 is negative"),
+        ("heights", [0, -3], "heights[1]: height -3 is negative"),
     ],
-    ids=["blocks-decreasing", "blocks-past-the-window", "n-sequence-past-the-window"],
+    ids=[
+        "blocks-decreasing", "blocks-past-the-window", "n-sequence-past-the-window",
+        "heights-negative", "heights-negative-float-orders",
+    ],
 )
 def test_verify_names_an_encoder_depth_outside_the_window(key, value, message, tmp_path, capsys):
     group = write(tmp_path, "g.json", {"components": [[4], [4]], "generators": [[[1], [0]], [[0], [1]]]})
@@ -364,10 +369,10 @@ def _echelon_recorder(monkeypatch):
     calls, paused = [], []
     real_basis, real_load = window_module.row_lattice_basis, fileio.load_group_file
 
-    def recorded(rows, width):
+    def recorded(rows, width, mods=()):
         if not paused:
-            calls.append(([tuple(r) for r in rows], width))
-        return real_basis(rows, width)
+            calls.append(([tuple(r) for r in rows], width, tuple(mods)))
+        return real_basis(rows, width, mods)
 
     def load_group_file(path):
         group = real_load(path)
@@ -384,9 +389,9 @@ def _echelon_recorder(monkeypatch):
 def _echelons_of_generators(calls, group, encoder_paths):
     """How many recorded calls echelon each part's generators y.
 
-    ``WindowSubgroup(window, ys).basis`` echelons the rows of ys followed by one
-    relation row per flat; the rows may be a part's own or embedded among
-    every part's in G's window.
+    ``WindowSubgroup(window, ys).basis`` echelons the rows of ys with the
+    window's factor orders as the moduli of its relations; the rows may be a
+    part's own or embedded among every part's in G's window.
     """
     dec = primary_decompose(group)
     parts = {}
@@ -399,11 +404,11 @@ def _echelons_of_generators(calls, group, encoder_paths):
     counts = {}
     for p, (own, embedded, part) in parts.items():
         counts[p] = 0
-        for rows, width in calls:
-            gens = set(rows[: len(rows) - width])
-            if width == part.window.flat_length and gens == own:
+        for rows, width, mods in calls:
+            gens = set(rows)
+            if (width, mods) == (part.window.flat_length, part.window.flat_orders) and gens == own:
                 counts[p] += 1
-            elif width == group.window.flat_length and embedded <= gens <= every:
+            elif (width, mods) == (group.window.flat_length, group.window.flat_orders) and embedded <= gens <= every:
                 counts[p] += 1
     return counts
 
@@ -434,6 +439,29 @@ def test_verify_echelons_each_parts_generators_once(template_path, tmp_path, mon
         encoders = [str(tmp_path / f"enc.p{p}.json") for p in primes]
         counts = _echelons_of_generators(calls, fileio.load_group_file(group), encoders)
         assert counts == dict.fromkeys(primes, 1), group
+
+
+def test_verify_compares_windows_a_linear_number_of_times(template_path, tmp_path, monkeypatch):
+    # once an encoder's window matches its part's, its elements move onto
+    # the part's window, so every later window check is an identity test:
+    # the coordinate compares grow linearly in N, not quadratically
+    from groupwindows.window import ComponentGroup
+
+    real, compares = ComponentGroup.__eq__, []
+
+    def counted(a, b):
+        compares.append(1)
+        return real(a, b)
+
+    for n in (8, 16, 32):
+        closure, out = str(tmp_path / f"c{n}.json"), str(tmp_path / f"enc{n}.json")
+        assert main(["unroll", "--input", template_path, "--window", str(n), "--closure", "--out", closure]) == 0
+        assert main(["synthesize", "--input", closure, "--out", out]) == 0
+        compares.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ComponentGroup, "__eq__", counted)
+            assert main(["verify", "--input", closure, "--encoder", out]) == 0
+        assert 0 < len(compares) <= 2 * n, (n, len(compares))
 
 
 def test_verify_shape_mismatch_exits_3(template_path, tmp_path):

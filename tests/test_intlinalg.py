@@ -3,6 +3,7 @@ from itertools import combinations, product as iproduct
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupwindows import IntMatrix, smith_normal_form, solve_mixed_modulus
 from groupwindows.intlinalg import left_kernel_basis, row_lattice_basis
@@ -140,6 +141,63 @@ def test_left_kernel_basis_against_brute_force():
                 assert row_lattice_basis([*basis, v], rows) == canon
 
 
+BIG_PRIMES = (10007, 10009, 65537, 104729, 524287, 999983)
+
+
+@st.composite
+def lattices_with_moduli(draw):
+    """(rows, width, mods): small or mixed moduli, primes from 10^4 to 10^6,
+    zero moduli (columns without a relation), zero rows, and width 0."""
+    width = draw(st.integers(0, 5))
+    moduli = draw(st.sampled_from(["small", "big-primes", "mixed"]))
+    pool = {"small": (0, 2, 3, 4, 6, 8, 9, 12), "big-primes": (0, *BIG_PRIMES)}
+    pool["mixed"] = pool["small"] + BIG_PRIMES
+    mods = draw(st.lists(st.sampled_from(pool[moduli]), min_size=width, max_size=width))
+    bound = max(mods, default=0) or 12
+    entry = st.integers(-2 * bound, 2 * bound)
+    row = st.one_of(st.just([0] * width), st.lists(entry, min_size=width, max_size=width))
+    return draw(st.lists(row, max_size=5)), width, mods
+
+
+def _in_echelon(basis, vec):
+    """Membership of an integer vector in the lattice of echelon rows, by reduction."""
+    vec = list(vec)
+    for row in basis:
+        f = next(f for f, a in enumerate(row) if a)
+        q, r = divmod(vec[f], row[f])
+        if r:
+            return False
+        vec = [a - q * b for a, b in zip(vec, row)]
+    return not any(vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices_with_moduli(), st.data())
+def test_row_lattice_basis_with_moduli(case, data):
+    # the relations m_f e_f from the moduli give the echelon of the rows
+    # followed by those relations written out, and the lattice of the rows
+    # and relations: every row and relation and every combination of them
+    # is a member, and a vector is a member exactly when the oracle says so
+    rows, width, mods = case
+    got = row_lattice_basis(rows, width, mods)
+    relations = [[m if k == f else 0 for k in range(width)] for f, m in enumerate(mods) if m]
+    assert got == row_lattice_basis([*rows, *relations], width)
+    for row in got:
+        f = next(f for f, a in enumerate(row) if a)
+        assert row[f] > 0 and all(0 <= upper[f] < row[f] for upper in got[: got.index(row)])
+    spanning = [*rows, *relations]
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(spanning), max_size=len(spanning)))
+    member = [sum(c * v[f] for c, v in zip(coeffs, spanning)) for f in range(width)]
+    nudge = data.draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width))
+    probes = [*spanning, member, [a + b for a, b in zip(member, nudge)]]
+    assert all(_in_echelon(got, v) for v in probes[:-1])
+    if all(mods):
+        assert len(got) == width
+        lattice = oracles.Lattice(mods, rows)
+        for v in probes:
+            assert _in_echelon(got, v) == lattice.contains(v), v
+
+
 def test_solve_trivial_and_obstructed():
     a = IntMatrix.from_rows([[2]])
     assert solve_mixed_modulus(a, [0], [4]) == [0]
@@ -218,7 +276,7 @@ def test_solve_solution_in_image_is_found():
 
 
 def _canonical_row_systems(seed, count):
-    """(A, b, mods) as ``solve_in_subgroup`` builds them.
+    """(A, b, mods) of the shape a root's coefficients pose.
 
     A holds a seeded group's canonical rows, times a scale and cut to an
     interval, as columns; b is the cut of a scaled member or of a random

@@ -93,7 +93,8 @@ def test_synthesis_and_verify_read_local_sections_equal_to_the_full_window_ones(
     # its full-window form; no subgroup is compared with one of another
     # window, and no membership or prefix test is handed a row of another
     # width.  Arbitrary index maps reach the layers of the lift section.
-    kept, placed = [], {}  # the local sections, alive; id of a section's window -> its placement
+    # the local sections, alive; id of a section, and of its window -> (G's window, interval)
+    kept, placement, placed = [], {}, {}
     seen = dict.fromkeys(("section", "least", "lift-layer", "root"), 0)
     real_local, real_prefix = window.local_section, synthesis._prefix_in_span
     real_least, real_root = synthesis.least_in_difference, synthesis._root
@@ -101,10 +102,9 @@ def test_synthesis_and_verify_read_local_sections_equal_to_the_full_window_ones(
 
     def recorded(g, interval):
         local = real_local(g, interval)
-        assert local.placement == (g.window, interval)
         assert oracles.embedded(local, g.window, interval).basis == oracles.full_window_section(g, interval).basis
         kept.append(local)
-        placed[id(local.window)] = local.placement
+        placement[id(local)] = placed[id(local.window)] = (g.window, interval)
         seen["section"] += 1
         return local
 
@@ -120,7 +120,7 @@ def test_synthesis_and_verify_read_local_sections_equal_to_the_full_window_ones(
 
     def least(layer, inside):
         got = real_least(layer, inside)
-        window, interval = layer.placement
+        window, interval = placement[id(layer)]
         if id(window) in placed:  # a layer of the lift section: place it in G's window
             window, (lo, _) = placed[id(window)]
             interval = (lo + interval[0] - 1, lo + interval[1] - 1)
@@ -132,7 +132,7 @@ def test_synthesis_and_verify_read_local_sections_equal_to_the_full_window_ones(
 
     def root(sec, interval, z, scale):
         got = real_root(sec, interval, z, scale)
-        assert sec.placement == (z.window, interval)
+        assert placement[id(sec)] == (z.window, interval)
         assert got == solve_in_subgroup(oracles.embedded(sec, z.window, interval), z, scale=scale)
         seen["root"] += 1
         return got
@@ -170,6 +170,7 @@ def test_synthesis_and_verify_read_local_sections_equal_to_the_full_window_ones(
                 synthesis.verify_block_properties(variant, part)
                 reports += 1
         kept.clear()
+        placement.clear()
         placed.clear()
     rng = random.Random(2115)
     for g in _pool(shift_template)[:200]:
@@ -183,6 +184,7 @@ def test_synthesis_and_verify_read_local_sections_equal_to_the_full_window_ones(
                 except InputError:
                     pass
                 kept.clear()
+                placement.clear()
                 placed.clear()
     assert reports >= 400
     assert seen["section"] >= 2000 and seen["least"] >= 2000 and seen["root"] >= 500, seen

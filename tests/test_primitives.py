@@ -6,21 +6,20 @@
 member outside, ``least_with_prefix`` against the least listed member with
 the prefix, ``FpEchelon`` against exhaustive F_p spans, and ``represent``
 by round trips through encoders of socle elements (heights 0), and
-``solve_in_subgroup`` against the Smith solve it replaces where a root's
-coefficients are unique.
+``solve_in_subgroup`` against the root with the lexicographically least
+coefficients, found by search.
 The bases that ``project``, ``section``, ``kernel_subgroup`` and
 ``primary_decompose`` take without a new echelon of their generators are
 checked against a fresh one.
 """
 
-from math import gcd, prod
-from unittest import mock
+from itertools import product as iproduct
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupwindows import GeneratingSet, WindowSubgroup, primary_decompose, project, section, window
-from groupwindows.intlinalg import IntMatrix, solve_mixed_modulus
+from groupwindows import GeneratingSet, WindowSubgroup, primary_decompose, project, section
 from groupwindows.errors import UndeterminedAtWindowError
 from groupwindows.synthesis import Block, Encoder, represent
 from groupwindows.torsion import FpEchelon
@@ -30,11 +29,13 @@ from groupwindows.window import (
     least_in_difference,
     least_outside,
     least_with_prefix,
+    local_section,
     solve_in_subgroup,
     torsion_subgroup,
 )
 
 from conftest import window_of
+import corpus
 import oracles
 
 ORDERS = (2, 3, 4, 5, 8, 9)
@@ -373,49 +374,51 @@ def p_groups_with_roots(draw):
     return g, scale, x.scale(scale) if pick == "root" else x
 
 
-def _smith_root(g, z, scale):
-    """The root the Smith solve gives: its coefficients over the canonical rows, summed."""
-    rows, mods = g.canonical_rows, g.window.flat_orders
-    A = IntMatrix.from_rows([[scale * row[f] for row in rows] for f in range(len(mods))])
-    ks = solve_mixed_modulus(A, z.flat, mods)
-    if ks is None:
-        return None
-    return g.window.from_flat([sum(k * row[f] for k, row in zip(ks, rows)) for f in range(len(mods))])
-
-
-def _solve_counting_smith(g, z, scale):
-    """``solve_in_subgroup``'s answer and the number of Smith solves it made."""
-    with mock.patch.object(window, "solve_mixed_modulus", wraps=solve_mixed_modulus) as smith:
-        return solve_in_subgroup(g, z, scale=scale), smith.call_count
-
-
 @settings(max_examples=150, deadline=None)
 @given(p_groups_with_roots())
-def test_root_solve_gives_the_smith_root(case):
-    # the map k -> sum k_j scale r_j on prod Z(o_j), o_j the order of
-    # scale r_j, is injective exactly when the scaled group has prod o_j
-    # members; there the root's coefficients are unique and no Smith solve runs
+def test_root_takes_the_least_coefficients(case):
+    # y = sum k_j r_j for the lexicographically least coefficients k, unique
+    # where the map k -> sum k_j scale r_j is injective
     g, scale, z = case
-    want = _smith_root(g, z, scale)
-    got, smith_calls = _solve_counting_smith(g, z, scale)
-    assert (got is None) == (want is None)
-    if want is None:
-        assert smith_calls == 0
-        return
-    assert got.flat == want.flat and got.scale(scale) == z and g.contains(got)
-    orders = [x.scale(scale).order() for x in g.canonical_generators]
-    assert smith_calls == (g.scaled(scale).order() != prod(orders))
+    got = solve_in_subgroup(g, z, scale=scale)
+    want = oracles.least_coefficient_roots(g.canonical_rows, g.window.flat_orders, scale).get(z.flat)
+    assert (None if got is None else got.flat) == want
+    if got is not None:
+        assert got.scale(scale) == z and g.contains(got)
 
 
-def test_root_with_non_unique_coefficients_takes_the_smith_solve():
+def test_root_with_non_unique_coefficients_takes_the_least_ones():
     # in Z4 x Z8 the rows (1, 1), (0, 2) double to (2, 2) and (0, 4), of
     # orders 4 and 2, but span only 4 elements: 2 (2, 2) == 2 (0, 4)
     w = window_of([4], [8])
     g = WindowSubgroup(w, [w.from_flat((1, 1)), w.from_flat((0, 2))])
-    assert g.canonical_rows == ((1, 1), (0, 2))
-    roots = {(0, 0): (0, 0), (0, 4): (0, 2), (2, 2): (1, 1), (2, 6): (1, 3)}  # the Smith solve's
+    assert g.canonical_rows == ((1, 1), (0, 2)) and not oracles.unique_root_coefficients(g, 2)
+    # 2 (1, 3) == 2 (3, 3) == (2, 6): k = (1, 1) comes before k = (3, 0)
+    roots = {(0, 0): (0, 0), (0, 4): (0, 2), (2, 2): (1, 1), (2, 6): (1, 3)}
     for z, root in roots.items():
-        got, smith_calls = _solve_counting_smith(g, w.from_flat(z), 2)
-        assert got.flat == root and smith_calls == 1
-    assert _solve_counting_smith(g, w.from_flat((0, 2)), 2) == (None, 0)
+        assert solve_in_subgroup(g, w.from_flat(z), scale=2).flat == root
+    assert solve_in_subgroup(g, w.from_flat((0, 2)), scale=2) is None
+
+
+@pytest.mark.parametrize(
+    "orders, gens", corpus.ROOT_KERNEL_GROUPS, ids=[f"root-kernel-{k:02d}" for k in range(len(corpus.ROOT_KERNEL_GROUPS))]
+)
+def test_root_kernel_groups_take_the_least_coefficients(orders, gens):
+    # the corpus family whose synthesize takes roots with non-unique
+    # coefficients: every target of the window, over G and each of its
+    # local sections, at scales 1, p and p^2
+    w = window_of(*[[m] for m in orders])
+    g = WindowSubgroup(w, [w.from_flat(x) for x in gens])
+    p = w.primes()[0]
+    kernels = 0
+    for interval in [None] + [(a, b) for a in range(1, w.length + 1) for b in range(a, w.length + 1)]:
+        h = g if interval is None else local_section(g, interval)
+        targets = list(iproduct(*map(range, h.window.flat_orders)))
+        for scale in (1, p, p * p):
+            kernels += not oracles.unique_root_coefficients(h, scale)
+            roots = oracles.least_coefficient_roots(h.canonical_rows, h.window.flat_orders, scale)
+            for z in targets:
+                got = solve_in_subgroup(h, h.window.from_flat(z), scale=scale)
+                assert (None if got is None else got.flat) == roots.get(z), (interval, scale, z)
+    assert kernels
 

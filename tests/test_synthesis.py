@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product as iproduct
 from math import prod
@@ -23,7 +24,6 @@ from groupwindows import (
     unroll_template,
     verify_block_properties,
     verify_isomorphic_encoder,
-    window,
 )
 from groupwindows.errors import InputError, UndeterminedAtWindowError
 
@@ -574,12 +574,44 @@ def test_verify_echelons_each_socle_element_a_bounded_number_of_times(shift_temp
     assert adds <= 3 * (m + dim)
 
 
-def test_closure_roots_make_no_smith_solve(shift_template, monkeypatch):
-    # every p^h-th root of the closure at N = 32 has unique coefficients,
-    # so each is read off its coefficient graph's echelon
-    calls = []
-    real = window.solve_mixed_modulus
-    monkeypatch.setattr(window, "solve_mixed_modulus", lambda *a: calls.append(a) or real(*a))
+def test_closure_roots_make_no_smith_solve(shift_template, tmp_path, monkeypatch):
+    # every p^h-th root is read off its coefficient graph's echelon, with
+    # the least coefficients where they are not unique: synthesize and
+    # verify of the closures, and of the corpus family whose roots have
+    # non-unique coefficients, run with the Smith normal form unavailable
+    import groupwindows
+    from groupwindows import cli, intlinalg
+    import corpus
+
+    def refuse(*args):
+        raise AssertionError("the Smith normal form was computed")
+
+    for module in (intlinalg, groupwindows):
+        monkeypatch.setattr(module, "smith_normal_form", refuse)
+    unique, real_solve = [], synthesis.solve_in_subgroup
+
+    def solve(g, z, scale=1):
+        unique.append(oracles.unique_root_coefficients(g, scale))
+        return real_solve(g, z, scale=scale)
+
+    monkeypatch.setattr(synthesis, "solve_in_subgroup", solve)
     gs = synthesize(closure_window(shift_template, 32).group).generating_sets[2]
-    assert len(gs.generators) == 32
-    assert calls == []
+    assert len(gs.generators) == 32 and unique == [True] * 32
+    unique.clear()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "template.json").write_text(json.dumps(corpus.TEMPLATE))
+    groups = []
+    for n in (4, 8, 16, 24):
+        groups.append(f"closure-{n}.json")
+        argv = ["unroll", "--input", "template.json", "--window", str(n), "--closure", "--out", groups[-1]]
+        assert cli.main(argv) == 0
+    for k, (orders, gens) in enumerate(corpus.ROOT_KERNEL_GROUPS):
+        groups.append(f"root-kernel-{k:02d}.json")
+        group = {"components": [[m] for m in orders], "generators": [[[a] for a in x] for x in gens]}
+        (tmp_path / groups[-1]).write_text(json.dumps(group))
+    for group in groups:
+        argv = ["synthesize", "--input", group, "--out", "enc.json"]
+        if cli.main(argv) != 0:
+            assert cli.main([*argv, "--override-undetermined"]) == 0, group
+        assert cli.main(["verify", "--input", group, "--encoder", "enc.json"]) == 0, group
+    assert unique.count(False) >= 10

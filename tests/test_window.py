@@ -65,9 +65,9 @@ def test_prefix_projection_computes_no_echelon(monkeypatch):
     calls = []
     real = window_module.row_lattice_basis
 
-    def counted(rows, width):
+    def counted(rows, width, mods=()):
         calls.append(width)
-        return real(rows, width)
+        return real(rows, width, mods)
 
     monkeypatch.setattr(window_module, "row_lattice_basis", counted)
     w = window_of([4], [2, 3], [9], [8])
