@@ -320,10 +320,13 @@ def parse_encoder(payload, where: str = "encoder") -> tuple[GeneratingSet, Produ
     if not isinstance(payload["n_sequence"], dict):
         raise InputError(f"{where}.n_sequence: expected an object")
     for key, val in payload["n_sequence"].items():
+        i = _parse_index(key, f"{where}.n_sequence")
+        if not 1 <= i <= n_window:
+            raise InputError(f"{where}.n_sequence: key {key!r} outside [1, {n_window}]")
         n = _expect_int(val, f"{where}.n_sequence[{key!r}]")
         if not 1 <= n <= n_window:
             raise InputError(f"{where}.n_sequence[{key!r}]: index {n} outside [1, {n_window}]")
-        n_seq[_parse_index(key, f"{where}.n_sequence")] = n
+        n_seq[i] = n
     orders = _int_list(payload["orders"], f"{where}.orders")
     gs = GeneratingSet(
         prime=prime,

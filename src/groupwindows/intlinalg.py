@@ -1,19 +1,19 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Everything here works on dense matrices of Python ints, so all results are
-exact at any magnitude.  Matrices stay small at desk scale (well under a few
-hundred rows/columns), which keeps the classical elimination algorithms fast
-enough.
+Everything here works on Python ints, so all results are exact at any
+magnitude: the Smith normal form family on dense matrices, the echelon on
+sparse rows, as a window's subgroups have rows with few nonzero entries.
 
 The three workhorses are
 
 * ``smith_normal_form``: U * M * V = D with U, V unimodular and D diagonal
   with a divisibility chain, U and V kept as logs of operations until read,
 * ``row_lattice_basis``: the canonical echelon basis of an integer row
-  lattice and relations m_f e_f (used for subgroup canonical forms,
-  membership, sections and section orders, torsion subgroups and roots, see
-  ``window.local_section``, ``WindowSubgroup.section_order``,
-  ``window.kernel_subgroup`` and ``window.solve_in_subgroup``),
+  lattice and relations m_f e_f, on ``SparseEchelon`` (used for subgroup
+  canonical forms, membership, sections, torsion subgroups and roots, see
+  ``window.local_section``, ``window.kernel_subgroup`` and
+  ``window.solve_in_subgroup``); the section and suffix orders of
+  ``WindowSubgroup`` read the diagonal of one ``SparseEchelon`` sweep each,
 * ``solve_mixed_modulus``: solve A x = b componentwise modulo a vector of
   moduli, the lattice form of "is this element a combination of these
   generators".
@@ -27,26 +27,12 @@ API, which demo 01 shows and the benchmark's tracer wraps by name.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, repeat
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import InputError
 from .record import Frozen, store
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 class IntMatrix(Frozen, fields=("rows", "cols", "data")):
@@ -221,59 +207,96 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
     return SnfResult(D=IntMatrix.from_rows(a), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
+class SparseEchelon:
+    """An integer echelon: ``rows`` maps each pivot column to its sparse row {column: value}.
+
+    A nonzero ``mods[f]`` says that m_f e_f lies in the lattice, so entries
+    in column f are kept inside (-m_f, m_f) as elimination goes: the "HNF
+    modulo D" device of Domich, Kannan and Trotter (Math. of OR, 1987) and
+    Cohen 2.4, which bounds entry growth.  The diagonal is a lattice
+    invariant up to sign, which the order tables of ``window`` read as is.
+    """
+
+    def __init__(self, mods):
+        self.mods = mods
+        self.rows: dict[int, dict[int, int]] = {}
+        self.changed: list[int] = []  # the columns whose pivot was set, in order
+
+    def insert(self, vec: dict[int, int]) -> None:
+        """Add a lattice vector, which it may change, pivoting at its first nonzero column."""
+        rows, mods = self.rows, self.mods
+        while vec:
+            j = min(vec)
+            row = rows.get(j)
+            if row is None:
+                rows[j] = vec
+                self.changed.append(j)
+                return
+            b, p = vec[j], row[j]
+            if abs(b) >= abs(p):
+                c = -(b // p)
+                for k, x in row.items():  # vec += c * row, reduced
+                    y = vec.get(k, 0) + c * x
+                    m = mods[k]
+                    if m and not -m < y < m:
+                        y %= m
+                    if y:
+                        vec[k] = y
+                    elif k in vec:
+                        del vec[k]
+            if j in vec:  # Euclid: the smaller remainder takes the pivot, and the old row goes on
+                rows[j], vec = vec, dict(row)
+                self.changed.append(j)
+
+    def hermite(self, width: int) -> list[list[int]]:
+        """The canonical basis, dense: pivots made positive, then each row,
+        bottom-up, has its entries at later pivots reduced into [0, pivot)."""
+        rows, out = self.rows, []
+        for j in sorted(rows, reverse=True):
+            row = rows[j]
+            if row[j] < 0:
+                row = rows[j] = {k: -x for k, x in row.items()}
+            todo = [k for k in row if k > j] if len(row) > 1 else []  # a heap of the columns after k
+            heapify(todo)
+            while todo:
+                k = heappop(todo)
+                pivot = rows.get(k)
+                if pivot is not None and (q := row[k] // pivot[k]):
+                    for c, x in pivot.items():
+                        if c in row:
+                            row[c] -= q * x
+                        else:
+                            row[c] = -q * x
+                            heappush(todo, c)
+            dense = [0] * width
+            for k, x in row.items():
+                dense[k] = x
+            out.append(dense)
+        return out[::-1]
+
+
 def row_lattice_basis(rows, width: int, mods=()) -> list[list[int]]:
     """Canonical echelon basis of the integer lattice spanned by ``rows`` and
     the relations m_f e_f, one for each nonzero ``mods[f]``.
 
-    The relations come after the rows, each reduced from its own column f.
-    Returns pivot rows ordered by pivot column.  Pivots are positive and every
-    entry above a pivot is reduced into [0, pivot), so two generating sets of
-    the same lattice produce identical output.
+    The rows are eliminated sparse (``SparseEchelon``).  The relations stay
+    implicit: after the rows, m_f e_f is reduced from column f unless a lone
+    pivot there divides it.  Returns pivot rows ordered by pivot column.
+    Pivots are positive and every entry above a pivot is reduced into
+    [0, pivot): the Hermite normal form, which is unique (Cohen 2.4.3), so
+    two generating sets of the same lattice produce identical output.
     """
-    basis: dict[int, list[int]] = {}  # pivot column -> row
-    relations = []  # (m_f e_f, f)
-    for f, m in enumerate(mods):
-        if m:
-            vec = [0] * width
-            vec[f] = m
-            relations.append((vec, f))
-    for vec, j in chain(zip(map(list, rows), repeat(0)), relations):
-        if len(vec) != width:
+    ech = SparseEchelon([*mods, *[0] * (width - len(mods))])
+    for row in rows:
+        if len(row) != width:
             raise InputError("row width mismatch in lattice basis")
-        while j < width:
-            if not vec[j]:
-                j += 1
-                continue
-            if j not in basis:
-                basis[j] = vec
-                break
-            pivot_row = basis[j]
-            p, b = pivot_row[j], vec[j]
-            if b % p == 0:
-                q = b // p
-                vec = [x - q * y for x, y in zip(vec, pivot_row)]
-            else:
-                x, y, g = xgcd(p, b)
-                pg, bg = p // g, b // g
-                new_pivot = [x * r + y * w for r, w in zip(pivot_row, vec)]
-                vec = [-bg * r + pg * w for r, w in zip(pivot_row, vec)]
-                basis[j] = new_pivot
-            # vec[j] is now zero; continue reducing the remainder
-    # normalize: positive pivots, entries above pivots reduced
-    out = []
-    for j in sorted(basis):
-        row = basis[j]
-        if row[j] < 0:
-            row = [-v for v in row]
-        out.append((j, row))
-    for idx in range(len(out)):
-        j, row = out[idx]
-        for upper in range(idx):
-            uj, urow = out[upper]
-            q = urow[j] // row[j]
-            if q:
-                out[upper] = (uj, [x - q * y for x, y in zip(urow, row)])
-    return [row for _, row in out]
+        if any(row):
+            ech.insert(dict(compress(enumerate(row), row)))
+    for f, m in enumerate(mods):
+        pivot = ech.rows.get(f)
+        if m and (pivot is None or len(pivot) > 1 or m % pivot[f]):
+            ech.insert({f: m})
+    return ech.hermite(width)
 
 
 def left_kernel_basis(M: IntMatrix) -> list[list[int]]:

@@ -18,7 +18,8 @@ b = N.  It is kept local: a subgroup of the sub-window [a, b]
 width; ``section`` zero-pads it back.  The torsion subgroup G[q] is one
 echelon of pairs (``kernel_subgroup``), built once per q and kept on G;
 every torsion subgroup inside an interval is a section of it.  Each subgroup
-also keeps its section orders, one list per start coordinate.  Least members
+also keeps its section orders and the suffix orders of its multiples, each
+read off one echelon sweep over all start coordinates.  Least members
 are read off echelon rows (``least_in_difference``, ``least_with_prefix``),
 and so are the failure witnesses lifted from a prefix and the least
 coefficients of the p^h-th roots of synthesis (``solve_in_subgroup``); no
@@ -43,12 +44,12 @@ inclusive, matching the certificate and file formats.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InputError, WindowScaleError
-from .intlinalg import row_lattice_basis, vector_order
+from .intlinalg import SparseEchelon, row_lattice_basis, vector_order
 from .record import Frozen, store
 
 # Exact element scans refuse beyond this many elements.
@@ -328,8 +329,7 @@ class WindowSubgroup:
         self._rows = rows
         self._scaled_cache: dict[int, "WindowSubgroup"] = {}
         self._torsion_cache: dict[int, "WindowSubgroup"] = {}
-        self._section_orders: dict[int, list[int]] = {}  # start flat -> running orders
-        self._suffix_tables: dict[tuple[int, int], list[int]] = {}
+        self._suffix_tables: dict[int, dict[int, list[int]]] = {}  # q -> start flat -> suffix orders
         self._elements_cache: tuple[Element, ...] | None = None
 
     @cached_property
@@ -416,44 +416,61 @@ class WindowSubgroup:
         G's basis rows from the first flat s of coordinate a on span the
         members vanishing before a.  In their echelon by last nonzero entry
         the rows ending inside [a, b] span G_[a,b]; its order is the running
-        product of m_f / d_f over its flats, d_f that echelon's diagonal.
-        Only the running products are kept, one list per start; a section
-        reaching the last flat reads G's own diagonal (``suffix_order``).
+        product of m_f / d_f over its flats, d_f that echelon's diagonal,
+        read off one sweep for every start (``_order_tables``).
         """
         if b < a:
             return 1
         starts = self.window.coord_starts
-        s, e = starts[a - 1], starts[b]
-        table = self._section_orders.get(s)
-        if table is None:
-            if e == self.window.flat_length:
-                return self.suffix_order(a)
-            mods = self.window.flat_orders[s:]
-            ends = row_lattice_basis([row[s:][::-1] for row in self.basis[s:]], len(mods))
-            # reversed, row k of the echelon ends at flat s + k
-            ratios = (m // row[-1 - k] for k, (m, row) in enumerate(zip(mods, reversed(ends))))
-            table = self._section_orders[s] = list(accumulate(ratios, mul, initial=1))
-        return table[e - s]
+        s = starts[a - 1]
+        return self._section_tables[s][starts[b] - s]
+
+    @cached_property
+    def _section_tables(self) -> dict[int, list[int]]:
+        return self._order_tables(1, last=True)
 
     def suffix_order(self, b: int, q: int = 1, a: int = 1) -> int:
-        """|(q G_[a,N])_[b,N]|, and 1 when b = N + 1.
+        """|(q G_[a,N])_[b,N]|, and 1 when b or a is N + 1.
 
         A subgroup's basis rows from a flat on span its members vanishing
         before it, so the order is the product of m_f / d_f over the flats
         of [b, N], d_f the diagonal entry.  q G_[a,N] is spanned by q times
-        G's basis rows from a's first flat on.  One list per (q, a) is kept.
+        G's basis rows from a's first flat s on, so d_f = m_f before s.  One
+        sweep per q gives the tables of every a (``_order_tables``).
         """
+        tables = self._suffix_tables.get(q)
+        if tables is None:
+            tables = self._suffix_tables[q] = self._order_tables(q)
         starts = self.window.coord_starts
-        key = (q, starts[a - 1])
-        table = self._suffix_tables.get(key)
-        if table is None:
-            h = self
-            if key != (1, 0):
-                rows = [[q * x for x in row] for row in self.basis[key[1]:]]
-                h = WindowSubgroup.from_rows(self.window, rows)
-            ratios = [m // row[f] for f, (m, row) in enumerate(zip(self.window.flat_orders, h.basis))]
-            table = self._suffix_tables[key] = list(accumulate(ratios[::-1], mul, initial=1))[::-1]
-        return table[starts[b - 1]]
+        return tables[starts[a - 1]][starts[b - 1]]
+
+    def _order_tables(self, q: int, last: bool = False) -> dict[int, list[int]]:
+        """Coordinate start flat s -> the products of m_f / d_f from s on
+        (``last``: sections, d_f by last nonzero entry, of G's rows from s on,
+        which span its members vanishing before s), or from each flat on (q
+        times those rows and the relations, which q G lacks).  The rows from
+        s on are those from s + 1 on and row s, so one echelon takes the rows
+        from the last up, and its diagonal is read at each start."""
+        mods = self.window.flat_orders
+        F = len(mods)
+        col = range(F - 1, -1, -1) if last else range(F)  # flat f -> its column, and back
+        ech = SparseEchelon([0] * F if last else mods)
+        if not last:
+            ech.rows.update((f, {f: m}) for f, m in enumerate(mods))
+        rows, basis, starts, tables = ech.rows, self.basis, set(self.window.coord_starts), {}
+        ratio = [1] * F  # m_f / d_f at flat f
+        for s in range(F, -1, -1):
+            if s < F:
+                ech.insert({col[f]: q * x for f, x in compress(enumerate(basis[s]), basis[s])})
+                for k in ech.changed:
+                    ratio[col[k]] = mods[col[k]] // abs(rows[k][k])
+                ech.changed.clear()
+            if s in starts:
+                if last:
+                    tables[s] = list(accumulate(ratio[s:], mul, initial=1))
+                else:  # the ratio is 1 before s
+                    tables[s] = list(accumulate(reversed(ratio), mul, initial=1))[::-1]
+        return tables
 
     def elements(self) -> tuple[Element, ...]:
         """All elements, sorted by flat residue vector.  Exact and cached."""

@@ -12,13 +12,18 @@ library record with some fields changed.  The full-window sections, height
 layers and prefix tests are the library's own as they were before sections
 became local; a local one zero-padded (``embedded``) must equal them.
 ``least_coefficient_roots`` finds the roots of a subgroup's canonical rows
-with the least coefficients by search.
+with the least coefficients by search.  ``dense_row_lattice_basis`` is the
+library's echelon as it was on dense rows, and ``per_start_section_orders``
+and ``per_pair_suffix_orders`` read the section and suffix orders off one
+fresh dense echelon per start, as the library did before its sweeps.
 """
 
 import inspect
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
 from math import lcm, prod
+from operator import mul
 
 
 def rebuilt(record, **changes):
@@ -617,6 +622,106 @@ def listing_reference():
     finally:
         for module, name, fn in saved:
             setattr(module, name, fn)
+
+
+# -- the dense echelon and the per-start order tables ---------------------
+#
+# ``row_lattice_basis`` as it was before it eliminated sparse rows, and the
+# section and suffix orders as they were read before the sweeps: one fresh
+# echelon per start coordinate, and one per (q, start) pair.
+
+
+def _dense_xgcd(a, b):
+    """(x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def dense_row_lattice_basis(rows, width, mods=()):
+    """Canonical echelon basis of the lattice of ``rows`` and the relations
+    m_f e_f, on dense rows: the relations come after the rows, each reduced
+    from its own column f, then every entry above a pivot is reduced."""
+    from groupwindows.errors import InputError
+
+    basis = {}  # pivot column -> row
+    relations = []  # (m_f e_f, f)
+    for f, m in enumerate(mods):
+        if m:
+            vec = [0] * width
+            vec[f] = m
+            relations.append((vec, f))
+    for vec, j in chain(zip(map(list, rows), repeat(0)), relations):
+        if len(vec) != width:
+            raise InputError("row width mismatch in lattice basis")
+        while j < width:
+            if not vec[j]:
+                j += 1
+                continue
+            if j not in basis:
+                basis[j] = vec
+                break
+            pivot_row = basis[j]
+            p, b = pivot_row[j], vec[j]
+            if b % p == 0:
+                q = b // p
+                vec = [x - q * y for x, y in zip(vec, pivot_row)]
+            else:
+                x, y, g = _dense_xgcd(p, b)
+                pg, bg = p // g, b // g
+                new_pivot = [x * r + y * w for r, w in zip(pivot_row, vec)]
+                vec = [-bg * r + pg * w for r, w in zip(pivot_row, vec)]
+                basis[j] = new_pivot
+            # vec[j] is now zero; continue reducing the remainder
+    # normalize: positive pivots, entries above pivots reduced
+    out = []
+    for j in sorted(basis):
+        row = basis[j]
+        if row[j] < 0:
+            row = [-v for v in row]
+        out.append((j, row))
+    for idx in range(len(out)):
+        j, row = out[idx]
+        for upper in range(idx):
+            uj, urow = out[upper]
+            q = urow[j] // row[j]
+            if q:
+                out[upper] = (uj, [x - q * y for x, y in zip(urow, row)])
+    return [row for _, row in out]
+
+
+def per_start_section_orders(g, a):
+    """|G_[a,b]| for b = a - 1, ..., N, from a fresh echelon, by last
+    nonzero entry, of G's basis rows from the first flat s of coordinate a
+    on: the running products of m_f / d_f."""
+    starts = g.window.coord_starts
+    s = starts[a - 1]
+    mods = g.window.flat_orders[s:]
+    ends = dense_row_lattice_basis([row[s:][::-1] for row in g.basis[s:]], len(mods))
+    # reversed, row k of the echelon ends at flat s + k
+    ratios = (m // row[-1 - k] for k, (m, row) in enumerate(zip(mods, reversed(ends))))
+    table = list(accumulate(ratios, mul, initial=1))
+    return [1] + [table[starts[b] - s] for b in range(a, g.window.length + 1)]
+
+
+def per_pair_suffix_orders(g, q, a):
+    """|(q G_[a,N])_[b,N]| for b = 1, ..., N + 1, from a fresh echelon of q
+    times G's basis rows from a's first flat on, with the relations: the
+    products of m_f / d_f over the flats of [b, N]."""
+    starts = g.window.coord_starts
+    mods = g.window.flat_orders
+    rows = [[q * x for x in row] for row in g.basis[starts[a - 1] :]]
+    basis = dense_row_lattice_basis(rows, len(mods), mods)
+    ratios = [m // row[f] for f, (m, row) in enumerate(zip(mods, basis))]
+    return [prod(ratios[starts[b - 1] :]) for b in range(1, g.window.length + 2)]
 
 
 # -- the full-window reference for local sections ------------------------

@@ -340,11 +340,14 @@ def test_verify_refuses_blocks_that_do_not_partition_the_generators(blocks, tmp_
         ("blocks", [{"d": 2, "m": 1}, {"d": 1, "m": 2}], "blocks[1].d: depth 1 not above the previous block's 2"),
         ("blocks", [{"d": 1, "m": 1}, {"d": 7, "m": 2}], "blocks[1].d: depth 7 outside [1, 2]"),
         ("n_sequence", {"1": 9, "2": 2}, "n_sequence['1']: index 9 outside [1, 2]"),
+        ("n_sequence", {"9": 1, "1": 1, "2": 2}, "n_sequence: key '9' outside [1, 2]"),
+        ("n_sequence", {"0": 1, "1": 1, "2": 2}, "n_sequence: key '0' outside [1, 2]"),
         ("heights", [-1, 0], "heights[0]: height -1 is negative"),
         ("heights", [0, -3], "heights[1]: height -3 is negative"),
     ],
     ids=[
         "blocks-decreasing", "blocks-past-the-window", "n-sequence-past-the-window",
+        "n-sequence-key-past-the-window", "n-sequence-key-zero",
         "heights-negative", "heights-negative-float-orders",
     ],
 )

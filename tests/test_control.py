@@ -192,6 +192,40 @@ def test_section_order_is_the_section_order(shift_template):
                 assert g.section_order(a, b) == section(g, (a, b)).order(), (g, a, b)
 
 
+def _sweep_pool(shift_template):
+    """The section-order pool, the closures at N = 11..16, and random windows
+    with Z8, Z27 and empty components, leading, inner and trailing."""
+    rng = random.Random(1009)
+    pool = _section_order_pool(shift_template)
+    pool += [closure_window(shift_template, n).group for n in range(11, 17)]
+    shapes = [(), (), (8,), (27,), (2, 8), (3, 27), (8, 27), (4,)]
+    while len(pool) < 330:
+        w = window_of(*[rng.choice(shapes) for _ in range(rng.randint(1, 6))])
+        if w.flat_length:
+            gens = [[rng.randrange(m) * (rng.random() < 0.6) for m in w.flat_orders] for _ in range(rng.randint(1, 4))]
+            pool.append(subgroup(w, *gens))
+    return pool
+
+
+def test_sweeps_give_the_per_start_tables(shift_template):
+    # one sweep per subgroup for the section orders, and one per q for the
+    # suffix orders, against a fresh echelon per start and per (q, start)
+    trailing_empty = 0
+    for g in _sweep_pool(shift_template):
+        w, e = g.window, g.exponent()
+        n = w.length
+        trailing_empty += w.coord_starts[-2] == w.flat_length
+        for a in range(1, n + 1):
+            got = [g.section_order(a, b) for b in range(a - 1, n + 1)]
+            assert got == oracles.per_start_section_orders(g, a), (g, a)
+        powers = [1, e, e * 2] + [p**k for p in w.primes() for k in range(1, e.bit_length()) if e % p**k == 0]
+        for q in powers:
+            for a in range(1, n + 2):
+                got = [g.suffix_order(b, q, a) for b in range(1, n + 2)]
+                assert got == oracles.per_pair_suffix_orders(g, q, a), (g, q, a)
+    assert trailing_empty >= 5
+
+
 def test_suffix_sections_are_the_listed_members_supported_in_them(shift_template):
     # a section reaching the last coordinate is read off G's basis rows
     # without an echelon; it lists as the members vanishing before it
@@ -269,8 +303,8 @@ def _count_lattice_bases(monkeypatch):
 
 
 def test_controllability_certificate_builds_few_lattice_bases(monkeypatch):
-    # the width-3 group below at N = 24: one table per start coordinate, not
-    # one echelon per (i, n) pair
+    # the width-3 group below at N = 24: no echelon per (i, n) pair (the
+    # sibling below pins the count the order tables' sweeps leave)
     n = 24
     gens = [[int(k <= j < k + 3) for j in range(n)] for k in range(n - 2)]
     g = subgroup(window_of(*[[2]] * n), *gens)
@@ -282,14 +316,31 @@ def test_controllability_certificate_builds_few_lattice_bases(monkeypatch):
 
 
 def test_order_controllability_certificate_builds_few_lattice_bases(shift_template, monkeypatch):
-    # the closure at N = 24 holds with n_i = i: one basis of 2 G_[i+1,N] per
-    # depth, not the offer and demand echelons of each (i, n) with a table
+    # the closure at N = 24 holds with n_i = i: no offer and demand echelons
+    # per (i, n), nor a basis of 2 G_[i+1,N] per depth
     n = 24
     g = closure_window(shift_template, n).group
     calls = _count_lattice_bases(monkeypatch)
     cert = order_controllability_certificate(g)
     assert cert.holds() and cert.indices == {i: i for i in cert.indices} and len(cert.indices) > 16
     assert len(calls) <= 36
+
+
+def test_certificates_build_no_echelon_for_their_order_tables(shift_template, monkeypatch):
+    # the section and suffix orders come from one sweep each, which calls no
+    # lattice basis; what is left of the two certificates above is G's own
+    # basis, and the witness's section on [1, cap] and the torsion kernel it
+    # searches, or the closure's G[2] (its basis comes with the closure)
+    n = 24
+    gens = [[int(k <= j < k + 3) for j in range(n)] for k in range(n - 2)]
+    g = subgroup(window_of(*[[2]] * n), *gens)
+    closure = closure_window(shift_template, n).group
+    calls = _count_lattice_bases(monkeypatch)
+    assert controllability_certificate(g).status == FAILS
+    assert len(calls) == 3
+    calls.clear()
+    assert order_controllability_certificate(closure).holds()
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- certificates

@@ -327,3 +327,44 @@ def test_solve_matches_the_matrix_reference_on_canonical_rows():
             residues = [sum(c * x for c, x in zip(row, got)) - v for row, v in zip(a.data, b)]
             assert all(r % m == 0 for r, m in zip(residues, mods))
     assert solved >= 200 and unsolved >= 50
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(rows, width, mods) for the sparse echelon: widths 0 to 12; no moduli,
+    moduli shorter than the width (as kernels and root graphs pass them) or
+    one per column; zero moduli; small moduli, primes from 10^4 to 10^6 and
+    their squares; zero, duplicate and negated rows and sums of rows, which
+    with few rows or zero moduli leave the lattice rank-deficient."""
+    width = draw(st.integers(0, 12))
+    pool = draw(st.sampled_from([(0, 2, 3, 4, 6, 8, 9, 12), (0, *BIG_PRIMES, *(p * p for p in BIG_PRIMES))]))
+    count = draw(st.sampled_from([0, draw(st.integers(0, width)), width]))
+    mods = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    bound = max(mods, default=0) or 12
+    entry = st.one_of(st.just(0), st.integers(-2 * bound, 2 * bound))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "negated", "sum"]), max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([0] * width)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "negated":
+            rows.append([-a for a in draw(st.sampled_from(rows))])
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a + b for a, b in zip(u, v)])
+    return draw(st.permutations(rows)), width, mods
+
+
+@settings(max_examples=600, deadline=None)
+@given(echelon_inputs())
+def test_sparse_echelon_is_the_dense_echelon(case):
+    # the Hermite form is unique, so eliminating sparse rows reduced modulo
+    # the moduli, with the relations kept implicit, gives the dense bytes
+    rows, width, mods = case
+    assert row_lattice_basis(rows, width, mods) == oracles.dense_row_lattice_basis(rows, width, mods)
+
+
+def test_sparse_echelon_refuses_a_row_of_another_width():
+    with pytest.raises(InputError):
+        row_lattice_basis([[1, 2], [3]], 2, (4, 4))
