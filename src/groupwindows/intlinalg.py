@@ -248,11 +248,13 @@ class SparseEchelon:
                 rows[j], vec = vec, dict(row)
                 self.changed.append(j)
 
-    def hermite(self, width: int) -> list[list[int]]:
-        """The canonical basis, dense: pivots made positive, then each row,
-        bottom-up, has its entries at later pivots reduced into [0, pivot)."""
+    def hermite(self, width: int, first: int = 0) -> list[list[int]]:
+        """The canonical basis rows with a pivot at ``first`` or later, dense:
+        pivots made positive, then each row, bottom-up, has its entries at
+        later pivots reduced into [0, pivot).  Those rows read no earlier
+        row, and only they are changed."""
         rows, out = self.rows, []
-        for j in sorted(rows, reverse=True):
+        for j in sorted((j for j in rows if j >= first), reverse=True):
             row = rows[j]
             if row[j] < 0:
                 row = rows[j] = {k: -x for k, x in row.items()}
@@ -275,13 +277,14 @@ class SparseEchelon:
         return out[::-1]
 
 
-def row_lattice_basis(rows, width: int, mods=()) -> list[list[int]]:
+def row_lattice_basis(rows, width: int, mods=(), first: int = 0) -> list[list[int]]:
     """Canonical echelon basis of the integer lattice spanned by ``rows`` and
     the relations m_f e_f, one for each nonzero ``mods[f]``.
 
     The rows are eliminated sparse (``SparseEchelon``).  The relations stay
     implicit: after the rows, m_f e_f is reduced from column f unless a lone
-    pivot there divides it.  Returns pivot rows ordered by pivot column.
+    pivot there divides it.  Returns pivot rows ordered by pivot column,
+    those with a pivot at ``first`` or later, which alone are back-substituted.
     Pivots are positive and every entry above a pivot is reduced into
     [0, pivot): the Hermite normal form, which is unique (Cohen 2.4.3), so
     two generating sets of the same lattice produce identical output.
@@ -296,7 +299,7 @@ def row_lattice_basis(rows, width: int, mods=()) -> list[list[int]]:
         pivot = ech.rows.get(f)
         if m and (pivot is None or len(pivot) > 1 or m % pivot[f]):
             ech.insert({f: m})
-    return ech.hermite(width)
+    return ech.hermite(width, first)
 
 
 def left_kernel_basis(M: IntMatrix) -> list[list[int]]:

@@ -220,6 +220,10 @@ def primary_decompose(g: WindowSubgroup) -> PrimaryDecomposition:
     the original order.  G's lattice is the product of the parts' lattices
     over disjoint factors, so its canonical basis is theirs interleaved: a
     part's basis is G's rows with a pivot at a p-power factor, cut to those.
+    A part is given by its canonical rows.  When p owns every flat of every
+    coordinate, the part is G so given, in G's own window and with G's
+    lattice caches (``WindowSubgroup.canonically_presented``): no echelon
+    runs for it again.
     """
     window = g.window
     order = g.order()
@@ -229,6 +233,9 @@ def primary_decompose(g: WindowSubgroup) -> PrimaryDecomposition:
         shapes = [tuple(m for m in comp.factor_orders if m % p == 0) for comp in window.components]
         coords = tuple(i for i, shape in enumerate(shapes, start=1) if shape)
         flats = tuple(f for f, m in enumerate(window.flat_orders) if m % p == 0)
+        if len(coords) == window.length and len(flats) == window.flat_length:
+            parts.append(PrimaryPart(p, coords, window, g.canonically_presented(), flats))
+            continue
         sub_window = ProductWindow(tuple(shapes[i - 1] for i in coords))
         rows = [tuple(row[f] for f in flats) for row in g.canonical_rows]
         basis = tuple(tuple(g.basis[f][k] for k in flats) for f in flats)

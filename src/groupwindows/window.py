@@ -12,25 +12,28 @@ generator rows plus the relations m_f e_f, which the echelon adds from the
 moduli, span an integer lattice of full rank F, and its canonical echelon
 (Hermite) basis is the subgroup's identity card.  A section G_[a,b], the
 members supported in [a, b], is the kernel of the projection onto the other
-coordinates, so it is one echelon of G's basis rows from a on, and none when
-b = N.  It is kept local: a subgroup of the sub-window [a, b]
-(``local_section``), so that whatever is read off it runs at the interval's
-width; ``section`` zero-pads it back.  The torsion subgroup G[q] is one
-echelon of pairs (``kernel_subgroup``), built once per q and kept on G;
-every torsion subgroup inside an interval is a section of it.  Each subgroup
-also keeps its section orders and the suffix orders of its multiples, each
-read off one echelon sweep over all start coordinates.  Least members
-are read off echelon rows (``least_in_difference``, ``least_with_prefix``),
-and so are the failure witnesses lifted from a prefix and the least
-coefficients of the p^h-th roots of synthesis (``solve_in_subgroup``); no
-path reaches the Smith normal form.  Elements are built only at the edges:
-file I/O, witnesses, and generators written out.
+coordinates: G's basis rows past b stand as an echelon, only the rows of
+[a, b] join it, and none when b = N.  It is kept local: a subgroup of the
+sub-window [a, b] (``local_section``), so that whatever is read off it runs
+at the interval's width; ``section`` zero-pads it back.  The torsion
+subgroup G[q] is one echelon of pairs (``kernel_subgroup``), back-substituted
+only in the kernel's half, built once per q and kept on G; every torsion
+subgroup inside an interval is a section of it.  Each subgroup also keeps
+its section orders and the suffix orders of its multiples, each read off one
+echelon sweep over all start coordinates.  Least members are read off
+echelon rows (``least_in_difference``, ``least_with_prefix``), and so are
+the failure witnesses lifted from a prefix and the least coefficients of the
+p^h-th roots of synthesis (``solve_in_subgroup``); no path reaches the Smith
+normal form.  Elements are built only at the edges: file I/O, witnesses, and
+generators written out.
 
 ``WindowSubgroup.from_rows`` trusts its rows, and the canonical basis when
 one is known: ``local_section``, ``section`` and ``kernel_subgroup`` pass
 the rows of their echelons, ``project`` onto a prefix of flat width e passes
 G's first e basis rows cut to width e, and ``primary_decompose`` G's rows
-with a pivot at a p-power factor, cut to those factors.  By the uniqueness
+with a pivot at a p-power factor, cut to those factors (or, when p owns
+every flat, G itself given by its canonical rows, which keeps G's window and
+lattice caches: ``canonically_presented``).  By the uniqueness
 of the Hermite normal form (Cohen, A Course in Computational Algebraic
 Number Theory, 2.4.3) these are exact: the rows keep a pivot in every column
 and every entry above a pivot reduced.  So a local section's basis is the
@@ -329,7 +332,8 @@ class WindowSubgroup:
         self._rows = rows
         self._scaled_cache: dict[int, "WindowSubgroup"] = {}
         self._torsion_cache: dict[int, "WindowSubgroup"] = {}
-        self._suffix_tables: dict[int, dict[int, list[int]]] = {}  # q -> start flat -> suffix orders
+        # q -> start flat -> suffix orders of q G, and None -> section orders
+        self._tables: dict[int | None, dict[int, list[int]]] = {}
         self._elements_cache: tuple[Element, ...] | None = None
 
     @cached_property
@@ -343,6 +347,11 @@ class WindowSubgroup:
         return tuple(map(tuple, row_lattice_basis(self._rows, window.flat_length, window.flat_orders)))
 
     @cached_property
+    def _sparse_basis(self) -> tuple[dict[int, int], ...]:
+        """The basis rows as {flat: entry}, shared by every section: never mutated."""
+        return tuple(dict(compress(enumerate(row), row)) for row in self.basis)
+
+    @cached_property
     def canonical_rows(self) -> tuple[tuple[int, ...], ...]:
         """Basis rows reduced modulo the factor orders, zero rows dropped."""
         mods = self.window.flat_orders
@@ -353,6 +362,15 @@ class WindowSubgroup:
     def canonical_generators(self) -> tuple[Element, ...]:
         """The canonical rows as elements."""
         return tuple(Element(self.window, row) for row in self.canonical_rows)
+
+    def canonically_presented(self) -> "WindowSubgroup":
+        """G given by its canonical rows: the presentation, so the margin, is its
+        own; it takes over G's lattice caches, and shares the dictionaries."""
+        g = WindowSubgroup.from_rows(self.window, self.canonical_rows)
+        shared = ("basis", "canonical_rows", "canonical_generators", "_exponent", "_sparse_basis",
+                  "_scaled_cache", "_torsion_cache", "_tables")
+        g.__dict__.update((k, v) for k, v in vars(self).items() if k in shared)
+        return g
 
     def __eq__(self, other):
         if not isinstance(other, WindowSubgroup):
@@ -421,13 +439,12 @@ class WindowSubgroup:
         """
         if b < a:
             return 1
+        tables = self._tables.get(None)
+        if tables is None:
+            tables = self._tables[None] = self._order_tables(1, last=True)
         starts = self.window.coord_starts
         s = starts[a - 1]
-        return self._section_tables[s][starts[b] - s]
-
-    @cached_property
-    def _section_tables(self) -> dict[int, list[int]]:
-        return self._order_tables(1, last=True)
+        return tables[s][starts[b] - s]
 
     def suffix_order(self, b: int, q: int = 1, a: int = 1) -> int:
         """|(q G_[a,N])_[b,N]|, and 1 when b or a is N + 1.
@@ -438,9 +455,9 @@ class WindowSubgroup:
         G's basis rows from a's first flat s on, so d_f = m_f before s.  One
         sweep per q gives the tables of every a (``_order_tables``).
         """
-        tables = self._suffix_tables.get(q)
+        tables = self._tables.get(q)
         if tables is None:
-            tables = self._suffix_tables[q] = self._order_tables(q)
+            tables = self._tables[q] = self._order_tables(q)
         starts = self.window.coord_starts
         return tables[starts[a - 1]][starts[b - 1]]
 
@@ -503,8 +520,12 @@ class WindowSubgroup:
         """Max support width over the given and the canonical generators, minimized.
 
         This is the width of the narrowest generator presentation at hand; it
-        bounds how far window-boundary effects can reach.
+        bounds how far window-boundary effects can reach.  Computed once.
         """
+        return self._margin
+
+    @cached_property
+    def _margin(self) -> int:
         # a row's width runs from the coordinate of its first nonzero residue
         # to that of its last; a nonzero generator exists exactly when a
         # canonical one does
@@ -537,11 +558,12 @@ def kernel_subgroup(g: WindowSubgroup, t) -> WindowSubgroup:
 
     In the canonical echelon basis of the pairs (x mod t, x), x in G, over
     the rows (b | b) for G's basis and (t_f e_f | 0), the last F rows have a
-    zero first half and the kernel's canonical basis as second half.  The
-    library builds G[q] with it (``torsion_subgroup``).
+    zero first half and the kernel's canonical basis as second half; only
+    they are back-substituted.  The library builds G[q] with it
+    (``torsion_subgroup``).
     """
     F = g.window.flat_length
-    kernel = [r[F:] for r in row_lattice_basis([list(b) * 2 for b in g.basis], 2 * F, t)[F:]]
+    kernel = [r[F:] for r in row_lattice_basis([list(b) * 2 for b in g.basis], 2 * F, t, F)]
     return WindowSubgroup.from_rows(g.window, kernel, tuple(map(tuple, kernel)))
 
 
@@ -550,19 +572,27 @@ def local_section(g: WindowSubgroup, interval) -> WindowSubgroup:
 
     With [s, e) the interval's flats, the section is the kernel of the
     projection onto the flats outside it.  G's basis rows from s on span the
-    members vanishing before s.  With the flats from e on moved to the
-    front, their echelon ends in e - s rows that vanish from e on: these
+    members vanishing before s.  With the flats [s, e) moved after the
+    others, their echelon ends in e - s rows that vanish from e on: these
     span the members vanishing outside [s, e), and cut to [s, e) they are
-    the section's canonical basis in ``g.window.subwindow(interval)``.  When
-    e = F nothing moves: G's rows from s on, cut, are that basis, with no
-    echelon.  It and its members are placed back in G's window (``section``,
-    ``Element.embed``) before they meet subgroups of that window.
+    the section's canonical basis in ``g.window.subwindow(interval)``.  G's
+    rows from e on already are an echelon of the flats from e on, so they
+    go in as they stand (G's sparse rows, which nothing here changes); only
+    the e - s rows of the interval are inserted, and only the rows pivoting
+    in the interval are back-substituted.  When e = F nothing moves: G's
+    rows from s on, cut, are that basis, with no echelon.  It and its
+    members are placed back in G's window (``section``, ``Element.embed``)
+    before they meet subgroups of that window.
     """
     F = g.window.flat_length
     s, e = g.window.flat_slice(interval)
     if e < F:
-        moved = row_lattice_basis([row[e:] + row[s:e] for row in g.basis[s:]], F - s)
-        basis = tuple(tuple(row[F - e :]) for row in moved[F - e :])
+        rows = g._sparse_basis
+        ech = SparseEchelon([0] * (F + e - s))
+        ech.rows.update(zip(range(e, F), rows[e:]))
+        for row in rows[s:e]:
+            ech.insert({f if f >= e else f + F - s: x for f, x in row.items()})
+        basis = tuple(tuple(row[F:]) for row in ech.hermite(F + e - s, F))
     else:
         basis = tuple(row[s:] for row in g.basis[s:])
     return WindowSubgroup.from_rows(g.window.subwindow(interval), basis, basis)

@@ -16,6 +16,9 @@ with the least coefficients by search.  ``dense_row_lattice_basis`` is the
 library's echelon as it was on dense rows, and ``per_start_section_orders``
 and ``per_pair_suffix_orders`` read the section and suffix orders off one
 fresh dense echelon per start, as the library did before its sweeps.
+``full_pair_kernel`` reads a kernel off the whole dense pair echelon, and
+``separate_primary_decompose`` builds every primary part in its own
+sub-window, as the library did before a one-prime part kept G's window.
 """
 
 import inspect
@@ -722,6 +725,36 @@ def per_pair_suffix_orders(g, q, a):
     basis = dense_row_lattice_basis(rows, len(mods), mods)
     ratios = [m // row[f] for f, (m, row) in enumerate(zip(mods, basis))]
     return [prod(ratios[starts[b - 1] :]) for b in range(1, g.window.length + 2)]
+
+
+def full_pair_kernel(g, t):
+    """``kernel_subgroup``'s canonical basis as it was read before its echelon
+    kept only the kernel's half: the last F rows of the whole dense echelon of
+    width 2F over the pairs (b | b) and (t_f e_f | 0), cut to their second half."""
+    F = g.window.flat_length
+    pairs = dense_row_lattice_basis([list(b) * 2 for b in g.basis], 2 * F, t)
+    return tuple(tuple(row[F:]) for row in pairs[F:])
+
+
+def separate_primary_decompose(g):
+    """``primary_decompose`` as it was before a one-prime group's part kept
+    G's window: every part in a fresh sub-window, given by G's canonical rows
+    cut to its factors, with G's basis rows at those factors as its basis."""
+    from groupwindows.torsion import PrimaryDecomposition, PrimaryPart
+    from groupwindows.window import ProductWindow, WindowSubgroup
+
+    window, order = g.window, g.order()
+    primes = tuple(p for p in window.primes() if order % p == 0)
+    parts = []
+    for p in primes:
+        shapes = [tuple(m for m in comp.factor_orders if m % p == 0) for comp in window.components]
+        coords = tuple(i for i, shape in enumerate(shapes, start=1) if shape)
+        flats = tuple(f for f, m in enumerate(window.flat_orders) if m % p == 0)
+        sub_window = ProductWindow(tuple(shapes[i - 1] for i in coords))
+        rows = [tuple(row[f] for f in flats) for row in g.canonical_rows]
+        basis = tuple(tuple(g.basis[f][k] for k in flats) for f in flats)
+        parts.append(PrimaryPart(p, coords, sub_window, WindowSubgroup.from_rows(sub_window, rows, basis), flats))
+    return PrimaryDecomposition(window, primes, tuple(parts))
 
 
 # -- the full-window reference for local sections ------------------------

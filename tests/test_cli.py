@@ -372,10 +372,10 @@ def _echelon_recorder(monkeypatch):
     calls, paused = [], []
     real_basis, real_load = window_module.row_lattice_basis, fileio.load_group_file
 
-    def recorded(rows, width, mods=()):
+    def recorded(rows, width, mods=(), first=0):
         if not paused:
             calls.append(([tuple(r) for r in rows], width, tuple(mods)))
-        return real_basis(rows, width, mods)
+        return real_basis(rows, width, mods, first)
 
     def load_group_file(path):
         group = real_load(path)

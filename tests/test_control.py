@@ -329,15 +329,16 @@ def test_order_controllability_certificate_builds_few_lattice_bases(shift_templa
 def test_certificates_build_no_echelon_for_their_order_tables(shift_template, monkeypatch):
     # the section and suffix orders come from one sweep each, which calls no
     # lattice basis; what is left of the two certificates above is G's own
-    # basis, and the witness's section on [1, cap] and the torsion kernel it
-    # searches, or the closure's G[2] (its basis comes with the closure)
+    # basis and the torsion kernel the witness searches (the witness's
+    # section on [1, cap] inserts its rows into G's, with no lattice basis
+    # call), or the closure's G[2] (its basis comes with the closure)
     n = 24
     gens = [[int(k <= j < k + 3) for j in range(n)] for k in range(n - 2)]
     g = subgroup(window_of(*[[2]] * n), *gens)
     closure = closure_window(shift_template, n).group
     calls = _count_lattice_bases(monkeypatch)
     assert controllability_certificate(g).status == FAILS
-    assert len(calls) == 3
+    assert len(calls) == 2
     calls.clear()
     assert order_controllability_certificate(closure).holds()
     assert len(calls) == 1

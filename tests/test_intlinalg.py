@@ -360,9 +360,16 @@ def echelon_inputs(draw):
 @given(echelon_inputs())
 def test_sparse_echelon_is_the_dense_echelon(case):
     # the Hermite form is unique, so eliminating sparse rows reduced modulo
-    # the moduli, with the relations kept implicit, gives the dense bytes
+    # the moduli, with the relations kept implicit, gives the dense bytes;
+    # back-substituting only the rows that pivot at k or later gives those
+    # rows of it, for every k
     rows, width, mods = case
-    assert row_lattice_basis(rows, width, mods) == oracles.dense_row_lattice_basis(rows, width, mods)
+    dense = oracles.dense_row_lattice_basis(rows, width, mods)
+    assert row_lattice_basis(rows, width, mods) == dense
+    pivots = [next(j for j, x in enumerate(row) if x) for row in dense]
+    for k in range(width + 1):
+        kept = [row for row, j in zip(dense, pivots) if j >= k]
+        assert row_lattice_basis(rows, width, mods, first=k) == kept, k
 
 
 def test_sparse_echelon_refuses_a_row_of_another_width():

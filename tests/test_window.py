@@ -83,26 +83,38 @@ def test_prefix_projection_computes_no_echelon(monkeypatch):
 
 
 def test_a_section_is_one_echelon_from_its_start(monkeypatch):
-    # the section on [a, b] echelons G's basis rows from a's first flat s on,
-    # width F - s, and reads the section's basis off it; when b = N those
-    # rows already are the section's basis, and no echelon runs
+    # the section on [a, b], flats [s, e), takes G's basis rows from e on as
+    # an echelon as they stand and inserts only the e - s rows of the
+    # interval into it, with no lattice basis call; when b = N G's rows from
+    # s on already are the section's basis, and nothing is inserted
     from groupwindows import window as window_module
+    from groupwindows.intlinalg import SparseEchelon
 
-    widths = []
-    real = window_module.row_lattice_basis
+    inserted, bases = [], []
+    real_insert, real_basis = SparseEchelon.insert, window_module.row_lattice_basis
 
-    def counted(rows, width):
-        widths.append(width)
-        return real(rows, width)
+    def counted(ech, vec):
+        inserted.append(dict(vec))
+        return real_insert(ech, vec)
+
+    def basis(*args, **kwargs):
+        bases.append(args)
+        return real_basis(*args, **kwargs)
 
     w = window_of([4], [2, 3], [9], [8])
     g = subgroup(w, (1, 1, 2, 3, 0), (0, 0, 1, 6, 4), (2, 0, 0, 0, 2))
     g.basis
-    monkeypatch.setattr(window_module, "row_lattice_basis", counted)
-    for interval, s in (((1, 4), None), ((1, 2), 0), ((2, 3), 1), ((3, 3), 3), ((4, 4), None)):
-        widths.clear()
+    monkeypatch.setattr(SparseEchelon, "insert", counted)
+    monkeypatch.setattr(window_module, "row_lattice_basis", basis)
+    F = w.flat_length
+    for interval in ((1, 4), (1, 2), (2, 3), (3, 3), (4, 4), (1, 1)):
+        inserted.clear()
+        s, e = w.flat_slice(interval)
         section(g, interval)
-        assert widths == ([] if s is None else [w.flat_length - s]), interval
+        # the interval's rows, their flats [s, e) moved to F + (f - s)
+        want = [] if e == F else [{f if f >= e else f + F - s: x for f, x in enumerate(row) if x} for row in g.basis[s:e]]
+        assert inserted == want, interval
+    assert bases == []
 
 
 def test_project_out_of_range():
