@@ -10,9 +10,10 @@ The three workhorses are
   with a divisibility chain, U and V kept as logs of operations until read,
 * ``row_lattice_basis``: the canonical echelon basis of an integer row
   lattice and relations m_f e_f, on ``SparseEchelon`` (used for subgroup
-  canonical forms, membership, sections, torsion subgroups and roots, see
-  ``window.local_section``, ``window.kernel_subgroup`` and
-  ``window.solve_in_subgroup``); the section and suffix orders of
+  canonical forms, membership, torsion subgroups and roots, see
+  ``window.kernel_subgroup`` and ``window.solve_in_subgroup``); a section
+  inserts its rows into G's own on one ``SparseEchelon``
+  (``window.local_section``), and the section and suffix orders of
   ``WindowSubgroup`` read the diagonal of one ``SparseEchelon`` sweep each,
 * ``solve_mixed_modulus``: solve A x = b componentwise modulo a vector of
   moduli, the lattice form of "is this element a combination of these
