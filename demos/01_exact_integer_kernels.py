@@ -1,8 +1,11 @@
 """Exact integer linear algebra: the substrate for every membership question.
 
 Subgroups of products of cyclic groups are integer lattices containing the
-modulus relations, so diagonalization and mixed-modulus solving answer all
-membership, kernel, and quotient questions exactly.
+modulus relations, so echelon (Hermite) bases answer all membership, kernel,
+and quotient questions exactly.  The Smith normal form and the mixed-modulus
+solver shown here are built on that echelon: the Smith form alternates row
+and column Hermite forms, and the solver returns the lexicographically least
+solution.
 """
 
 from groupwindows import IntMatrix, smith_normal_form, solve_mixed_modulus

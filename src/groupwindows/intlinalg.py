@@ -1,33 +1,35 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
 Everything here works on Python ints, so all results are exact at any
-magnitude: the Smith normal form family on dense matrices, the echelon on
-sparse rows, as a window's subgroups have rows with few nonzero entries.
+magnitude.  There is one elimination core, ``SparseEchelon``: an integer
+echelon on sparse rows, as a window's subgroups have rows with few nonzero
+entries, with the relations m_f e_f of the moduli kept implicit.  On it sit
 
-The three workhorses are
+* ``row_lattice_basis``: the canonical echelon (Hermite) basis of an integer
+  row lattice and relations m_f e_f (used for subgroup canonical forms,
+  membership, torsion subgroups and roots, see ``window.kernel_subgroup``
+  and ``window.solve_in_subgroup``); a section inserts its rows into G's
+  own on one ``SparseEchelon`` (``window.local_section``), and the section
+  and suffix orders of ``WindowSubgroup`` read the diagonal of one
+  ``SparseEchelon`` sweep each,
+* ``prefix_lift``: the least lattice vector with a given prefix, read off
+  echelon rows, and ``least_coefficients``: the lexicographically least
+  coefficients of a target in the span of generators modulo the moduli,
+  the same walk on the graph rows (gens[j] | e_j),
+* the Smith normal form family, built on those: ``smith_normal_form``
+  alternates row and column Hermite forms, ``left_kernel_basis`` is the
+  kernel half of one Hermite form, and ``solve_mixed_modulus`` solves
+  A x = b componentwise modulo a vector of moduli with
+  ``least_coefficients``.
 
-* ``smith_normal_form``: U * M * V = D with U, V unimodular and D diagonal
-  with a divisibility chain, U and V kept as logs of operations until read,
-* ``row_lattice_basis``: the canonical echelon basis of an integer row
-  lattice and relations m_f e_f, on ``SparseEchelon`` (used for subgroup
-  canonical forms, membership, torsion subgroups and roots, see
-  ``window.kernel_subgroup`` and ``window.solve_in_subgroup``); a section
-  inserts its rows into G's own on one ``SparseEchelon``
-  (``window.local_section``), and the section and suffix orders of
-  ``WindowSubgroup`` read the diagonal of one ``SparseEchelon`` sweep each,
-* ``solve_mixed_modulus``: solve A x = b componentwise modulo a vector of
-  moduli, the lattice form of "is this element a combination of these
-  generators".
-
-No library code calls the Smith normal form family (``smith_normal_form``,
-``solve_mixed_modulus``, ``left_kernel_basis``): every subgroup question,
-root and failure witness is read off echelon rows.  The family stays public
-API, which demo 01 shows and the benchmark's tracer wraps by name.
+No library code calls the Smith normal form family: every subgroup
+question, root and failure witness is read off echelon rows.  The family
+stays public API, which demo 01 shows and the benchmark's tracer wraps by
+name.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
@@ -85,127 +87,6 @@ class IntMatrix(Frozen, fields=("rows", "cols", "data")):
 
     def diagonal(self) -> list[int]:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
-
-
-class SnfResult(Frozen, fields=("D", "row_ops", "col_ops")):
-    """U * M * V = D, the Smith normal form; U and V are built from the operation logs when read."""
-
-    def __init__(self, D: IntMatrix, row_ops: tuple[tuple, ...], col_ops: tuple[tuple, ...]):
-        store(self, "D", D)
-        store(self, "row_ops", row_ops)
-        store(self, "col_ops", col_ops)
-
-    @cached_property
-    def U(self) -> IntMatrix:
-        return _replayed_identity(self.D.rows, self.row_ops).transpose()
-
-    @cached_property
-    def V(self) -> IntMatrix:
-        return _replayed_identity(self.D.cols, self.col_ops)
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.D.diagonal() if d != 0)
-
-
-def _replayed_identity(n: int, ops) -> IntMatrix:
-    """Row k is e_k with ``ops`` replayed: column operations give V, row operations U^T."""
-    return IntMatrix.from_rows(_replay(list(e), ops) for e in IntMatrix.identity(n).data)
-
-
-def _replay(vec: list[int], ops) -> list[int]:
-    """Apply operations (i, j, q) to ``vec`` in order and in place: (i, j, None)
-    swaps entries i and j, else entry i loses q times entry j ((i, i, 2) negates it).
-    """
-    for i, j, q in ops:
-        if q is None:
-            vec[i], vec[j] = vec[j], vec[i]
-        else:
-            vec[i] -= q * vec[j]
-    return vec
-
-
-def smith_normal_form(M: IntMatrix) -> SnfResult:
-    """Diagonalize M by unimodular row and column operations.
-
-    Pivots on the smallest nonzero absolute value, which keeps intermediate
-    entries tame at desk scale.  The returned diagonal is nonnegative with
-    d_1 | d_2 | ... and trailing zeros.
-    """
-    m, n = M.rows, M.cols
-    a = [list(row) for row in M.data]
-    row_ops, col_ops = [], []  # operations (i, j, q) as ``_replay`` reads them
-
-    def row_op(i, j, q=None):
-        row_ops.append((i, j, q))
-        if q is None:
-            a[i], a[j] = a[j], a[i]
-        else:
-            a[i] = [v - q * w for v, w in zip(a[i], a[j])]
-
-    def col_op(i, j, q=None):
-        col_ops.append((i, j, q))
-        for row in a:
-            _replay(row, ((i, j, q),))
-
-    s = 0
-    while s < min(m, n):
-        # smallest nonzero entry of the trailing block becomes the pivot
-        best = None
-        for i in range(s, m):
-            for j in range(s, n):
-                val = abs(a[i][j])
-                if val and (best is None or val < best[0]):
-                    best = (val, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != s:
-            row_op(s, bi)
-        if bj != s:
-            col_op(s, bj)
-        if a[s][s] < 0:
-            row_op(s, s, 2)
-
-        while True:
-            # clear the pivot row and column; a nonzero remainder becomes the
-            # new (smaller) pivot, so this loop terminates
-            dirty = False
-            for i in range(s + 1, m):
-                if a[i][s]:
-                    q = a[i][s] // a[s][s]
-                    if q:
-                        row_op(i, s, q)
-                    if a[i][s]:
-                        row_op(s, i)
-                        dirty = True
-            for j in range(s + 1, n):
-                if a[s][j]:
-                    q = a[s][j] // a[s][s]
-                    if q:
-                        col_op(j, s, q)
-                    if a[s][j]:
-                        col_op(s, j)
-                        dirty = True
-            if dirty:
-                if a[s][s] < 0:
-                    row_op(s, s, 2)
-                continue
-            # divisibility fix-up: fold a bad entry into the pivot row
-            bad = None
-            for i in range(s + 1, m):
-                for j in range(s + 1, n):
-                    if a[i][j] % a[s][s]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_op(s, bad, -1)
-        s += 1
-
-    return SnfResult(D=IntMatrix.from_rows(a), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 class SparseEchelon:
@@ -303,25 +184,106 @@ def row_lattice_basis(rows, width: int, mods=(), first: int = 0) -> list[list[in
     return ech.hermite(width, first)
 
 
-def left_kernel_basis(M: IntMatrix) -> list[list[int]]:
-    """Basis of { v : v * M == 0 } as integer row vectors."""
-    snf = smith_normal_form(M)
-    r = snf.rank
-    return [list(snf.U.row(i)) for i in range(r, M.rows)]
-
-
 def vector_order(vec, mods) -> int:
     """The order of an integer vector in the product of the Z(m_f): the lcm of its residues' orders."""
     return lcm(*(m // gcd(m, a) for a, m in zip(vec, mods) if a))
+
+
+def prefix_lift(rows, prefix) -> list[int] | None:
+    """The least vector of the lattice of echelon ``rows`` that starts with ``prefix``, or None.
+
+    Echelon row f has its pivot d_f at column f.  Inside the prefix the value
+    there is forced, so d_f must divide what is missing; after it, the
+    members take r, r + d_f, ... there, and the least r is kept.  This is
+    the canonical representative of any such member modulo the members with
+    a zero prefix, whose echelon rows are m_f e_f on the prefix and the
+    lattice's own rows after it.
+    """
+    vec = [0] * len(rows)
+    for f, row in enumerate(rows):
+        k, r = divmod(vec[f] - (prefix[f] if f < len(prefix) else 0), row[f])
+        if r and f < len(prefix):
+            return None
+        if k:
+            vec = [x - k * y for x, y in zip(vec, row)]
+    return vec
+
+
+def least_coefficients(gens, target, mods) -> list[int] | None:
+    """The lexicographically least k >= 0 with sum(k_j * gens[j]) == target
+    modulo the positive ``mods``, or None when there is none.
+
+    k is read off the graph of k -> sum(k_j * gens[j]), the span of the rows
+    (gens[j] | e_j) and (m_f e_f | 0), as its least member with prefix
+    ``target`` (``prefix_lift``).  The members with a zero prefix are (0 | k)
+    for k in the map's kernel, which holds o_j e_j, o_j the order of
+    gens[j]; their echelon rows keep each k_j in [0, d_j) with d_j | o_j,
+    and so k is the least solution.
+    """
+    F, n = len(mods), len(gens)
+    graph = [[*gen, *[0] * j, 1, *[0] * (n - j - 1)] for j, gen in enumerate(gens)]
+    lift = prefix_lift(row_lattice_basis(graph, F + n, mods), target)
+    return None if lift is None else lift[F:]
+
+
+class SnfResult(Frozen, fields=("D", "U", "V")):
+    """U * M * V = D, the Smith normal form, with U and V unimodular."""
+
+    def __init__(self, D: IntMatrix, U: IntMatrix, V: IntMatrix):
+        store(self, "D", D)
+        store(self, "U", U)
+        store(self, "V", V)
+
+
+def smith_normal_form(M: IntMatrix) -> SnfResult:
+    """Diagonalize M by unimodular row and column operations.
+
+    Alternates the Hermite forms of (A | U) and of (A^T | V^T), starting
+    from A = M and identities, which keep U * M * V = A, until A is
+    diagonal.  Where d_i does not divide d_{i+1}, column i+1 is added to
+    column i, so that the next row form puts gcd(d_i, d_{i+1}) at (i, i);
+    a row fold would be undone by the next row form.  The returned diagonal
+    is nonnegative with d_1 | d_2 | ... and trailing zeros.
+    """
+    m, n = M.rows, M.cols
+    a, u = M.data, IntMatrix.identity(m).data
+    vt = [list(row) for row in IntMatrix.identity(n).data]
+    while True:
+        au = row_lattice_basis([[*x, *y] for x, y in zip(a, u)], n + m)
+        u = [row[n:] for row in au]
+        atvt = row_lattice_basis([[row[j] for row in au] + v for j, v in enumerate(vt)], m + n)
+        vt = [row[m:] for row in atvt]
+        a = [[row[i] for row in atvt] for i in range(m)]
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        d = [a[i][i] for i in range(min(m, n))]
+        k = next((k for k in range(len(d) - 1) if d[k] and d[k + 1] % d[k]), None)
+        if k is None:
+            D = IntMatrix(m, n, tuple(map(tuple, a)))
+            return SnfResult(D, IntMatrix.from_rows(u), IntMatrix.from_rows(vt).transpose())
+        a[k + 1][k] = d[k + 1]
+        vt[k] = [x + y for x, y in zip(vt[k], vt[k + 1])]
+
+
+def left_kernel_basis(M: IntMatrix) -> list[list[int]]:
+    """The canonical basis of { v : v * M == 0 }, as integer row vectors.
+
+    The rows of the Hermite form of (M | I) that pivot at column M.cols or
+    later have a zero first half, and their second halves are the kernel's
+    Hermite basis: the kernel half of ``window.kernel_subgroup``.
+    """
+    n = M.cols
+    rows = [[*row, *e] for row, e in zip(M.data, IntMatrix.identity(M.rows).data)]
+    return [row[n:] for row in row_lattice_basis(rows, n + M.rows, first=n)]
 
 
 def solve_mixed_modulus(A: IntMatrix, b, mods) -> list[int] | None:
     """Find integer x with A x = b componentwise modulo ``mods``.
 
     ``A`` has one row per flattened ambient factor and ``mods`` lists that
-    factor's cyclic order.  Returns a solution with each coordinate reduced
-    into [0, order of the corresponding column), or None when no solution
-    exists.
+    factor's cyclic order.  Returns the lexicographically least solution
+    with each coordinate in [0, order of the corresponding column)
+    (``least_coefficients`` on A's columns), or None when no solution exists.
     """
     mods = [int(m) for m in mods]
     b = [int(v) for v in b]
@@ -331,17 +293,4 @@ def solve_mixed_modulus(A: IntMatrix, b, mods) -> list[int] | None:
         raise InputError(f"expected right-hand side of length {A.rows}, got {len(b)}")
     if any(m < 1 for m in mods):
         raise InputError("moduli must be positive")
-
-    F, c = A.rows, A.cols
-    rows = [list(A.row(i)) + [mods[i] if j == i else 0 for j in range(F)] for i in range(F)]
-    stacked = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, c)
-    snf = smith_normal_form(stacked)
-    rhs = _replay(b, snf.row_ops)
-    z = [0] * (c + F)
-    for i, d in enumerate(snf.D.diagonal()):  # one entry per row; zero past the rank
-        z[i], rest = divmod(rhs[i], d) if d else (0, rhs[i])
-        if rest:
-            return None
-    # V z: the column operations act on a column vector in reverse, transposed
-    x = _replay(z, [(j, i, q) for i, j, q in reversed(snf.col_ops)])[:c]
-    return [x[j] % vector_order(A.column(j), mods) for j in range(c)]
+    return least_coefficients([A.column(j) for j in range(A.cols)], b, mods)

@@ -52,7 +52,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import InputError, WindowScaleError
-from .intlinalg import SparseEchelon, row_lattice_basis, vector_order
+from .intlinalg import SparseEchelon, least_coefficients, prefix_lift, row_lattice_basis, vector_order
 from .record import Frozen, store
 
 # Exact element scans refuse beyond this many elements.
@@ -681,30 +681,10 @@ def least_with_prefix(a: WindowSubgroup, prefix) -> Element | None:
     """The lexicographically least member of ``a`` whose flat vector starts with ``prefix``.
 
     ``prefix`` is a sequence of flat residues; None when no member has it
-    (``_prefix_lift`` on a's echelon rows).
+    (``intlinalg.prefix_lift`` on a's echelon rows).
     """
-    vec = _prefix_lift(a.basis, prefix)
+    vec = prefix_lift(a.basis, prefix)
     return None if vec is None else a.window.from_flat(vec)
-
-
-def _prefix_lift(rows, prefix) -> list[int] | None:
-    """The least vector of the lattice of echelon ``rows`` that starts with ``prefix``, or None.
-
-    Echelon row f has its pivot d_f at flat f.  Inside the prefix the value
-    there is forced, so d_f must divide what is missing; after it, the
-    members take r, r + d_f, ... there, and the least r is kept.  This is
-    the canonical representative of any such member modulo the members with
-    a zero prefix, whose echelon rows are m_f e_f on the prefix and the
-    lattice's own rows after it.
-    """
-    vec = [0] * len(rows)
-    for f, row in enumerate(rows):
-        k, r = divmod(vec[f] - (prefix[f] if f < len(prefix) else 0), row[f])
-        if r and f < len(prefix):
-            return None
-        if k:
-            vec = [x - k * y for x, y in zip(vec, row)]
-    return vec
 
 
 def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Element | None:
@@ -712,27 +692,19 @@ def solve_in_subgroup(g: WindowSubgroup, target: Element, scale: int = 1) -> Ele
 
     The library's one caller is the p^h-th root of ``synthesize_p``.  With
     r_j the canonical rows, y is sum(k_j * r_j) for coefficients k with
-    sum(k_j * scale * r_j) == target.  They are read off the graph of that
-    map, the span of the rows (scale*r_j | e_j) and (m_f e_f | 0), as its
-    least member with prefix target (``_prefix_lift``): k is the
-    lexicographically least choice, unique where the map is injective.
-    Any root serves synthesis, as x = p^h y is all the paper asks of y.
+    sum(k_j * scale * r_j) == target, read off the graph of that map
+    (``intlinalg.least_coefficients``): k is the lexicographically least
+    choice, unique where the map is injective.  Any root serves synthesis,
+    as x = p^h y is all the paper asks of y.
     """
     if target.window != g.window:
         raise InputError("element and subgroup live in different windows")
     rows = g.canonical_rows
-    if not rows:
-        return None if any(target.flat) else target
-    mods = g.window.flat_orders
-    F = len(mods)
-    graph = [[scale * a for a in row] + [0] * len(rows) for row in rows]
-    for j, row in enumerate(graph):
-        row[F + j] = 1
-    lift = _prefix_lift(row_lattice_basis(graph, F + len(rows), mods), target.flat)
-    if lift is None:
+    k = least_coefficients([[scale * a for a in row] for row in rows], target.flat, g.window.flat_orders)
+    if k is None:
         return None
-    flat = [0] * F
-    for k, row in zip(lift[F:], rows):
-        if k:
-            flat = [a + k * b for a, b in zip(flat, row)]
+    flat = [0] * len(target.flat)
+    for c, row in zip(k, rows):
+        if c:
+            flat = [a + c * b for a, b in zip(flat, row)]
     return g.window.from_flat(flat)

@@ -206,34 +206,6 @@ def naive_order_failures(proj, sect, plen):
     return sorted(failing)
 
 
-# -- the matrix reference for the coefficient solver ----------------------
-
-
-def matrix_solve_mixed_modulus(A, b, mods):
-    """``solve_mixed_modulus`` computed with the unimodular matrices U and V.
-
-    Unlike the other oracles this one calls the library's Smith normal form:
-    it solves U (A | diag(mods)) V = D as x = V z with D z = U b, by explicit
-    matrix-vector products, where the library replays the logged operations
-    on b and z.  Equal output means the replay applies U and V exactly.
-    """
-    from groupwindows import IntMatrix, smith_normal_form
-
-    rows, cols = A.rows, A.cols
-    stacked = [
-        list(A.row(i)) + [m if j == i else 0 for j, m in enumerate(mods)] for i in range(rows)
-    ]
-    snf = smith_normal_form(IntMatrix.from_rows(stacked) if stacked else IntMatrix.zeros(0, cols))
-    rhs = [sum(u * v for u, v in zip(row, b)) for row in snf.U.data]
-    z = [0] * (cols + rows)
-    for i, d in enumerate(snf.D.diagonal()):
-        if (rhs[i] % d if d else rhs[i]) != 0:
-            return None
-        z[i] = rhs[i] // d if d else 0
-    x = [sum(v * w for v, w in zip(row, z)) for row in snf.V.data][:cols]
-    return [x[j] % naive_order(A.column(j), mods) for j in range(cols)]
-
-
 def least_coefficient_roots(rows, mods, scale):
     """Each target of scale * <rows> mapped to its root with the least coefficients.
 

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from itertools import combinations, product as iproduct
 from math import gcd, lcm, prod
 
@@ -14,17 +16,37 @@ import oracles
 
 
 def det(m):
+    """The exact determinant, by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise ValueError
-    if m.rows == 0:
-        return 1
-    total = 0
-    for j in range(m.cols):
-        minor = IntMatrix.from_rows(
-            [row[:j] + row[j + 1 :] for row in (m.data[i] for i in range(1, m.rows))]
-        )
-        total += (-1) ** j * m.data[0][j] * det(minor)
-    return total
+    a, sign, prev = [list(row) for row in m.data], 1, 1
+    for k in range(m.rows - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, m.rows) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, m.rows):
+            for j in range(k + 1, m.rows):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def determinantal_divisors(m):
@@ -77,29 +99,54 @@ def test_snf_zero_matrix():
 
 
 def test_snf_recomposition_and_chain_200_random():
-    rng = random.Random(20240901)
-    for _ in range(200):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
+    # 200 matrices up to 5 x 5, then a sweep of 3,000 up to 6 x 6, on 3 of
+    # which an SNF with smallest-entry pivoting ran past 0.5 s
+    for seed, count, size in ((20240901, 200, 5), (2718, 3000, 6)):
+        rng = random.Random(seed)
+        with time_limit(60):
+            for _ in range(count):
+                rows = rng.randint(1, size)
+                cols = rng.randint(1, size)
+                m = IntMatrix.from_rows(
+                    [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+                )
+                _assert_smith_form(m, smith_normal_form(m))
+
+
+def _assert_smith_form(m, s):
+    assert (s.U @ m @ s.V).data == s.D.data
+    diag = s.D.diagonal()
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        if b:
+            assert a != 0 and b % a == 0
+        if a == 0:
+            assert b == 0
+    # off-diagonal zero
+    for i in range(s.D.rows):
+        for j in range(s.D.cols):
+            if i != j:
+                assert s.D.data[i][j] == 0
+    assert abs(det(s.U)) == 1
+    assert abs(det(s.V)) == 1
+
+
+def test_snf_of_the_stall_reproducer_finishes():
+    # an SNF with smallest-entry pivoting grew entries past 23 million bits
+    # in 15 s on this matrix and did not finish
+    m = IntMatrix.from_rows(
+        [
+            [-4, 5, 7, -8, -7, -5],
+            [-9, 8, -2, -8, -3, -3],
+            [6, -4, -9, 8, 3, -6],
+            [7, 3, -8, -9, 5, 3],
+            [0, -9, 9, -3, 3, 8],
+        ]
+    )
+    with time_limit(5):
         s = smith_normal_form(m)
-        assert (s.U @ m @ s.V).data == s.D.data
-        diag = s.D.diagonal()
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            if b:
-                assert a != 0 and b % a == 0
-            if a == 0:
-                assert b == 0
-        # off-diagonal zero
-        for i in range(s.D.rows):
-            for j in range(s.D.cols):
-                if i != j:
-                    assert s.D.data[i][j] == 0
-        assert abs(det(s.U)) == 1
-        assert abs(det(s.V)) == 1
+    _assert_smith_form(m, s)
+    assert s.D.diagonal() == [1, 1, 1, 1, 2]
 
 
 def test_snf_matches_determinantal_divisor_oracle():
@@ -136,6 +183,7 @@ def test_left_kernel_basis_against_brute_force():
             continue
         assert determinantal_divisors(IntMatrix.from_rows(basis))[-1] == 1
         canon = row_lattice_basis(basis, rows)
+        assert basis == canon
         for v in iproduct(range(-2, 3), repeat=rows):
             if all(sum(a * b for a, b in zip(v, m.column(j))) == 0 for j in range(cols)):
                 assert row_lattice_basis([*basis, v], rows) == canon
@@ -243,16 +291,9 @@ def test_solve_matches_enumeration_sweep():
             continue
         b = [rng.randint(-9, 9) for _ in range(rows)]
         got = solve_mixed_modulus(a, b, mods)
-        want = brute_force_solve(a, b, mods)
-        assert (got is None) == (want is None)
-        if got is not None:
-            solvable += 1
-            assert all(
-                (sum(a.data[i][j] * got[j] for j in range(cols)) - b[i]) % mods[i] == 0
-                for i in range(rows)
-            )
-            orders = [column_order(a.column(j), mods) for j in range(cols)]
-            assert all(0 <= x < o for x, o in zip(got, orders))
+        # brute force enumerates in lexicographic order: the least solution
+        assert got == brute_force_solve(a, b, mods)
+        solvable += got is not None
     assert solvable > 50
 
 
@@ -316,10 +357,13 @@ def test_snf_of_canonical_row_systems_recomposes():
 
 
 def test_solve_matches_the_matrix_reference_on_canonical_rows():
+    # solvable exactly when b lies in the lattice of A's columns and the
+    # relations, decided by the independent echelon of oracles.Lattice
     solved = unsolved = 0
     for a, b, mods in _canonical_row_systems(2024, 400):
         got = solve_mixed_modulus(a, b, mods)
-        assert got == oracles.matrix_solve_mixed_modulus(a, b, mods)
+        columns = [a.column(j) for j in range(a.cols)]
+        assert (got is not None) == oracles.Lattice(mods, columns).contains(b)
         if got is None:
             unsolved += 1
         else:

@@ -75,8 +75,8 @@ RECORDS = {
     Element: (("window", "flat"), lambda: (_window(), (1, 0, 2))),
     IntMatrix: (("rows", "cols", "data"), lambda: (2, 2, ((1, 0), (0, 1)))),
     SnfResult: (
-        ("D", "row_ops", "col_ops"),
-        lambda: (IntMatrix.identity(2), (("swap", 0, 1),), ()),
+        ("D", "U", "V"),
+        lambda: (IntMatrix.identity(2), IntMatrix.identity(2), IntMatrix.identity(2)),
     ),
     FixedGenerator: (("support",), lambda: (((1, (2,)), (2, (1, 0))),)),
     ShiftedGenerator: (("start", "stride", "pattern"), lambda: (2, 1, ((0, (1,)), (1, (1,))))),
@@ -250,8 +250,9 @@ def test_fields_are_frozen(cls):
 def test_window_keeps_its_derived_fields_and_snf_its_cached_factors():
     window = _window()
     assert window.subwindow((1, 1)) is window.subwindow((1, 1))
-    snf = SnfResult(IntMatrix.identity(2), (), ())
-    assert snf.U is snf.U and snf.V == IntMatrix.identity(2)
+    d, u, v = IntMatrix.identity(2), IntMatrix.zeros(2, 2), IntMatrix.from_rows([[0, 1], [1, 0]])
+    snf = SnfResult(d, u, v)
+    assert snf.D is d and snf.U is u and snf.V is v
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
